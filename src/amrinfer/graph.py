@@ -103,6 +103,12 @@ class AmrGraph:
 
     Node order (dict insertion order) and edge order are part of the value;
     they fix serialization and tie-breaking everywhere else.
+
+    Construction indexes each node's out-edges once, so construction,
+    validation, :meth:`outgoing`, :meth:`closure` and :meth:`subgraph_at`
+    run in time linear in the nodes and edges they touch. The index is a
+    plain attribute derived from ``edges`` alone; it is not a field, so
+    equality, ``repr`` and ``dataclasses.replace`` see only the value.
     """
 
     root: NodeId
@@ -110,7 +116,13 @@ class AmrGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(Edge(*e) for e in self.edges))
+        edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in self.edges)
+        object.__setattr__(self, "edges", edges)
+        # Source -> positions of its out-edges in ``edges``, ascending.
+        out: dict[NodeId, list[int]] = {}
+        for i, e in enumerate(edges):
+            out.setdefault(e.source, []).append(i)
+        object.__setattr__(self, "_out", out)
         self.validate()
 
     def validate(self) -> None:
@@ -125,7 +137,7 @@ class AmrGraph:
             if e in seen:
                 raise GraphInvariantError(f"duplicate edge {e}")
             seen.add(e)
-        reached = self.closure(self.root)
+        reached = set(self.closure(self.root))
         unreached = [n for n in self.nodes if n not in reached]
         if unreached:
             raise GraphInvariantError(
@@ -145,7 +157,9 @@ class AmrGraph:
         return any(c.label == label for c in self.nodes.values())
 
     def outgoing(self, node: NodeId) -> list[Edge]:
-        return [e for e in self.edges if e.source == node]
+        """Edges leaving ``node``, in stored edge order (a fresh list)."""
+        edges = self.edges
+        return [edges[i] for i in self._out.get(node, ())]
 
     def node_index(self, node: NodeId) -> int:
         """Stable position of a node, used for deterministic tie-breaking."""
@@ -157,33 +171,33 @@ class AmrGraph:
     def closure(self, node: NodeId) -> list[NodeId]:
         """Nodes reachable from ``node`` along edge direction, in a stable
         depth-first order (constants excluded)."""
-        seen: list[NodeId] = []
+        edges, out = self.edges, self._out
+        seen: dict[NodeId, None] = {}
         stack = [node]
         while stack:
             n = stack.pop()
             if n in seen:
                 continue
-            seen.append(n)
-            targets = [
-                e.target
-                for e in self.edges
-                if e.source == n and not isinstance(e.target, Constant)
-            ]
-            stack.extend(reversed(targets))
-        return seen
+            seen[n] = None
+            for i in reversed(out.get(n, ())):
+                target = edges[i].target
+                if not isinstance(target, Constant):
+                    stack.append(target)
+        return list(seen)
 
     def subgraph_at(self, node: NodeId) -> "AmrGraph":
         """The subgraph rooted at ``node``: its closure plus all internal
-        edges (including constant-targeted ones)."""
+        edges (including constant-targeted ones), in stored edge order.
+        The closure is closed under out-edges, so every out-edge of a kept
+        node is internal."""
         keep = self.closure(node)
-        nodes = {n: self.nodes[n] for n in keep}
-        edges = tuple(
-            e
-            for e in self.edges
-            if e.source in nodes
-            and (isinstance(e.target, Constant) or e.target in nodes)
+        out = self._out
+        positions = sorted(i for n in keep for i in out.get(n, ()))
+        return AmrGraph(
+            root=node,
+            nodes={n: self.nodes[n] for n in keep},
+            edges=tuple(self.edges[i] for i in positions),
         )
-        return AmrGraph(root=node, nodes=nodes, edges=edges)
 
     def argument_frames(self) -> list["Frame"]:
         """Every predicate node together with the span it dominates through
@@ -640,29 +654,20 @@ def _import_nodes(
 
 
 def _carve(g: AmrGraph, at: NodeId) -> set[NodeId]:
-    """Nodes that disappear when ``at`` is cut out: the part of ``at``'s
-    closure no longer connected to the root once ``at`` is gone. Re-entrant
-    nodes referenced from the surviving part stay."""
-    dominated = set(g.closure(at))
-    # Undirected connectivity from root in the graph without `at`.
-    adj: dict[NodeId, set[NodeId]] = {n: set() for n in g.nodes}
-    for e in g.edges:
-        if isinstance(e.target, Constant):
-            continue
-        if at in (e.source, e.target):
-            continue
-        adj[e.source].add(e.target)
-        adj[e.target].add(e.source)
+    """Nodes that disappear when ``at`` is cut out: ``at`` and the part of
+    its closure no longer reachable from the root once ``at`` is gone.
+    Re-entrant nodes the surviving part still points to stay."""
     alive: set[NodeId] = set()
-    if g.root != at:
-        stack = [g.root]
-        while stack:
-            n = stack.pop()
-            if n in alive:
-                continue
-            alive.add(n)
-            stack.extend(adj[n])
-    return {at} | {n for n in dominated if n not in alive}
+    stack = [] if g.root == at else [g.root]
+    while stack:
+        n = stack.pop()
+        if n in alive:
+            continue
+        alive.add(n)
+        for e in g.outgoing(n):
+            if not isinstance(e.target, Constant) and e.target != at:
+                stack.append(e.target)
+    return {at} | {n for n in g.closure(at) if n not in alive}
 
 
 def substitute_subgraph(

@@ -10,6 +10,10 @@ Serialization is canonical: depth-first from the root in stored edge
 order, each concept printed at its first occurrence, re-entrancies as bare
 variables, single-space separation. Parsing a serialization yields a graph
 exactly isomorphic to the original.
+
+Reading and writing are single passes in time linear in the text and the
+graph. Both keep the open instances on an explicit stack rather than the
+call stack, so nesting depth has no limit.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ _TOKEN = re.compile(
     (?P<slash>/) |
     (?P<role>:[^\s()/]+) |
     (?P<string>"(?:[^"\\]|\\.)*") |
-    (?P<symbol>[^\s()/:]+)
+    (?P<symbol>[^\s()/:]+) |
+    (?P<bad>\S)
     """,
     re.VERBOSE,
 )
@@ -44,124 +49,107 @@ class PenmanSource:
     origin: str | None = None
 
 
-class _Token:
-    __slots__ = ("kind", "text", "offset")
-
-    def __init__(self, kind: str, text: str, offset: int):
-        self.kind = kind
-        self.text = text
-        self.offset = offset
-
-
-def _tokenize(text: str, origin: str | None) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise PenmanSyntaxError(f"unexpected character {text[pos]!r}", pos, origin)
-        kind = m.lastgroup or "symbol"
-        tokens.append(_Token(kind, m.group(), pos))
-        pos = m.end()
+def _tokenize(text: str, origin: str | None) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` for every token, in one regex pass."""
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    for kind, token, offset in tokens:
+        if kind == "bad":
+            raise PenmanSyntaxError(f"unexpected character {token!r}", offset, origin)
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, origin: str | None):
-        self.text = text
-        self.origin = origin
-        self.tokens = _tokenize(text, origin)
-        self.pos = 0
-        self.nodes: dict[NodeId, Concept] = {}
-        self.edges: list[Edge] = []
-        # (variable, offset) pairs awaiting definition.
-        self.references: list[tuple[NodeId, int]] = []
+def _parse(text: str, origin: str | None) -> AmrGraph:
+    """One pass over the tokens. The instances still open around the
+    current one wait on an explicit stack, each with the role that leads
+    to the current one and that edge's slot. A slot is reserved when its
+    role is read, so edge order is the document order of the roles."""
+    tokens = _tokenize(text, origin)
+    count = len(tokens)
 
-    def error(self, message: str, offset: int | None = None) -> PenmanSyntaxError:
+    def error(message: str, offset: int | None = None) -> PenmanSyntaxError:
         if offset is None:
-            offset = len(self.text.rstrip())
-        return PenmanSyntaxError(message, offset, self.origin)
+            offset = len(text.rstrip())
+        return PenmanSyntaxError(message, offset, origin)
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def take(i: int, kind: str, expected: str) -> tuple[str, str, int]:
+        if i >= count:
+            raise error(f"expected {expected}, found end of input")
+        token = tokens[i]
+        if token[0] != kind:
+            raise error(f"expected {expected}, found {token[1]!r}", token[2])
+        return token
 
-    def take(self, kind: str, expected: str) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise self.error(f"expected {expected}, found end of input")
-        if tok.kind != kind:
-            raise self.error(f"expected {expected}, found {tok.text!r}", tok.offset)
-        self.pos += 1
-        return tok
+    nodes: dict[NodeId, Concept] = {}
 
-    def parse(self) -> AmrGraph:
-        root = self.instance()
-        tok = self.peek()
-        if tok is not None:
-            raise self.error(f"trailing input {tok.text!r}", tok.offset)
-        defined = set(self.nodes)
-        for var, offset in self.references:
-            if var not in defined:
-                raise DanglingReferenceError(
-                    f"variable {var!r} referenced but never defined", offset, self.origin
-                )
-        return AmrGraph(root=root, nodes=self.nodes, edges=tuple(self.edges))
-
-    def instance(self) -> NodeId:
-        self.take("lparen", "'('")
-        var_tok = self.take("symbol", "a variable name")
-        var = var_tok.text
+    def open_instance(i: int) -> NodeId:
+        """Read the four tokens ``( var / concept`` at ``i``."""
+        take(i, "lparen", "'('")
+        _, var, var_offset = take(i + 1, "symbol", "a variable name")
         if not _IDENTIFIER.match(var):
-            raise self.error(f"invalid variable name {var!r}", var_tok.offset)
-        self.take("slash", "'/'")
-        concept_tok = self.take("symbol", "a concept")
-        if var in self.nodes:
-            raise self.error(
-                f"duplicate variable definition {var!r}", var_tok.offset
-            )
-        self.nodes[var] = Concept(concept_tok.text)
-        while True:
-            tok = self.peek()
-            if tok is None:
-                raise self.error("expected ':role' or ')', found end of input")
-            if tok.kind == "rparen":
-                self.pos += 1
-                return var
-            if tok.kind != "role":
-                raise self.error(
-                    f"expected ':role' or ')', found {tok.text!r}", tok.offset
-                )
-            self.pos += 1
-            # Record the edge at the position its role appeared, so edge
-            # order in the graph is document order.
-            position = len(self.edges)
-            target = self.target()
-            edge = Edge(var, tok.text, target)
-            if edge in self.edges:
-                raise self.error(f"duplicate edge {tok.text}", tok.offset)
-            self.edges.insert(position, edge)
+            raise error(f"invalid variable name {var!r}", var_offset)
+        take(i + 2, "slash", "'/'")
+        concept = take(i + 3, "symbol", "a concept")[1]
+        if var in nodes:
+            raise error(f"duplicate variable definition {var!r}", var_offset)
+        nodes[var] = Concept(concept)
+        return var
 
-    def target(self) -> NodeId | Constant:
-        tok = self.peek()
-        if tok is None:
-            raise self.error("expected an edge target, found end of input")
-        if tok.kind == "lparen":
-            return self.instance()
-        if tok.kind == "string":
-            self.pos += 1
-            return Constant(tok.text[1:-1], is_string=True)
-        if tok.kind == "symbol":
-            self.pos += 1
-            if _NUMBER.match(tok.text) or tok.text in ("-", "+"):
-                return Constant(tok.text)
-            if _IDENTIFIER.match(tok.text):
-                self.references.append((tok.text, tok.offset))
-                return tok.text
-            return Constant(tok.text)
-        raise self.error(f"expected an edge target, found {tok.text!r}", tok.offset)
+    edges: list[Edge | None] = []
+    edge_set: set[Edge] = set()
+    # (variable, offset) pairs awaiting definition.
+    references: list[tuple[NodeId, int]] = []
+    stack: list[tuple[NodeId, str, int, int]] = []
+    var = open_instance(0)
+    i = 4
+    while True:
+        if i >= count:
+            raise error("expected ':role' or ')', found end of input")
+        kind, token, offset = tokens[i]
+        i += 1
+        if kind == "rparen":
+            if not stack:
+                break
+            target = var
+            var, role, role_offset, slot = stack.pop()
+        elif kind != "role":
+            raise error(f"expected ':role' or ')', found {token!r}", offset)
+        else:
+            role, role_offset, slot = token, offset, len(edges)
+            edges.append(None)
+            if i >= count:
+                raise error("expected an edge target, found end of input")
+            kind, token, offset = tokens[i]
+            if kind == "lparen":
+                stack.append((var, role, role_offset, slot))
+                var = open_instance(i)
+                i += 4
+                continue
+            i += 1
+            if kind == "string":
+                target = Constant(token[1:-1], is_string=True)
+            elif kind != "symbol":
+                raise error(f"expected an edge target, found {token!r}", offset)
+            elif _NUMBER.match(token) or token in ("-", "+"):
+                target = Constant(token)
+            elif _IDENTIFIER.match(token):
+                references.append((token, offset))
+                target = token
+            else:
+                target = Constant(token)
+        edge = Edge(var, role, target)
+        if edge in edge_set:
+            raise error(f"duplicate edge {role}", role_offset)
+        edge_set.add(edge)
+        edges[slot] = edge
+
+    if i < count:
+        raise error(f"trailing input {tokens[i][1]!r}", tokens[i][2])
+    for ref, offset in references:
+        if ref not in nodes:
+            raise DanglingReferenceError(
+                f"variable {ref!r} referenced but never defined", offset, origin
+            )
+    return AmrGraph(root=var, nodes=nodes, edges=tuple(edges))
 
 
 def parse_penman(src: str | PenmanSource) -> AmrGraph:
@@ -177,7 +165,7 @@ def parse_penman(src: str | PenmanSource) -> AmrGraph:
         text, origin = src, None
     if not text.strip():
         raise PenmanSyntaxError("empty input", 0, origin)
-    return _Parser(text, origin).parse()
+    return _parse(text, origin)
 
 
 def serialize_penman(g: AmrGraph) -> str:
@@ -186,24 +174,26 @@ def serialize_penman(g: AmrGraph) -> str:
     Deterministic: identical graphs yield byte-identical output, and
     ``parse_penman(serialize_penman(g))`` is exactly isomorphic to ``g``.
     """
-    visited: set[NodeId] = set()
-
-    def render_target(target: NodeId | Constant) -> str:
-        if isinstance(target, Constant):
-            return target.render()
-        if target in visited:
-            return target
-        return emit(target)
-
-    def emit(node: NodeId) -> str:
-        visited.add(node)
-        parts = [f"({node} / {g.nodes[node].label}"]
-        for e in g.edges:
-            if e.source == node:
-                parts.append(f"{e.role} {render_target(e.target)}")
-        return " ".join(parts) + ")"
-
-    return emit(g.root)
+    parts = [f"({g.root} / {g.nodes[g.root].label}"]
+    visited = {g.root}
+    # Open instances, each with the iterator over its remaining out-edges.
+    stack = [iter(g.outgoing(g.root))]
+    while stack:
+        for e in stack[-1]:
+            target = e.target
+            if isinstance(target, Constant):
+                parts.append(f" {e.role} {target.render()}")
+            elif target in visited:
+                parts.append(f" {e.role} {target}")
+            else:
+                visited.add(target)
+                parts.append(f" {e.role} ({target} / {g.nodes[target].label}")
+                stack.append(iter(g.outgoing(target)))
+                break
+        else:
+            parts.append(")")
+            stack.pop()
+    return "".join(parts)
 
 
 def iter_penman(text: str, origin: str | None = None) -> list[AmrGraph]:

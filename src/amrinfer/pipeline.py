@@ -17,10 +17,12 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from importlib import resources
 
 from .classify import ClassificationResult, EntailmentTriple, Statement, classify
 from .errors import AmrError, MissingTypeError, RecordError
+from .graph import AmrGraph
 from .penman import PenmanSource, parse_penman
 from .taxonomy import TABLE_ORDER, InferenceType, lookup_type
 
@@ -40,11 +42,22 @@ class CorpusRecord:
     predicted_type: InferenceType | None = None
     evidence: dict | None = None
 
+    @cached_property
+    def graphs(self) -> tuple[AmrGraph, AmrGraph, AmrGraph]:
+        """The three AMRs, parsed on first use and kept. The cache lives in
+        the instance ``__dict__``, outside the dataclass fields, so it
+        changes neither equality nor :meth:`to_json`."""
+        return tuple(
+            parse_penman(PenmanSource(getattr(self, f), origin=f))
+            for f in ("p1_amr", "p2_amr", "c_amr")
+        )
+
     def triple(self) -> EntailmentTriple:
+        p1, p2, c = self.graphs
         return EntailmentTriple(
-            p1=Statement(self.p1_text, parse_penman(self.p1_amr)),
-            p2=Statement(self.p2_text, parse_penman(self.p2_amr)),
-            conclusion=Statement(self.c_text, parse_penman(self.c_amr)),
+            p1=Statement(self.p1_text, p1),
+            p2=Statement(self.p2_text, p2),
+            conclusion=Statement(self.c_text, c),
         )
 
     def to_json(self) -> str:
@@ -77,9 +90,8 @@ def record_from_json(line: str) -> CorpusRecord:
         predicted_type=lookup_type(predicted) if predicted else None,
         evidence=data.get("evidence"),
     )
-    # Validate the graphs eagerly so bad AMR is caught at load time.
-    for amr_field in ("p1_amr", "p2_amr", "c_amr"):
-        parse_penman(PenmanSource(data[amr_field], origin=amr_field))
+    # Parse the graphs eagerly so bad AMR is caught at load time.
+    record.graphs
     return record
 
 

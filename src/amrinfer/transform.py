@@ -290,13 +290,13 @@ def _conditional_parts(
     antecedent_nodes = set(g.closure(cond.target))
     # Consequent: reachable from the root without crossing the :condition
     # edge. Placeholders live on both sides.
-    seen: list[NodeId] = []
+    seen: dict[NodeId, None] = {}
     stack = [g.root]
     while stack:
         n = stack.pop()
         if n in seen:
             continue
-        seen.append(n)
+        seen[n] = None
         for e in g.outgoing(n):
             if e == cond or isinstance(e.target, Constant):
                 continue
@@ -361,6 +361,13 @@ def _cond_frame(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
     raise NoConditionalError("neither premise carries a root :condition edge")
 
 
+def _variable_for(concept: Concept, fallback: str) -> NodeId:
+    """The concept's initial when it is an ASCII letter (a valid Penman
+    variable), ``fallback`` otherwise: ``3d-printer`` gets ``fallback``."""
+    first = concept.label[0]
+    return first if first.isascii() and first.isalpha() else fallback
+
+
 def _generalise(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
     delta = graph_difference(p1, p2)
     if len(delta.removed_nodes) != 1 or len(delta.added_nodes) != 1:
@@ -370,8 +377,8 @@ def _generalise(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
         )
     general = delta.removed_nodes[0][1]
     specific = delta.added_nodes[0][1]
-    g_id = general.label[0] or "g"
-    s_id = specific.label[0] or "s"
+    g_id = _variable_for(general, "g")
+    s_id = _variable_for(specific, "s")
     if s_id == g_id:
         s_id = s_id + "2"
     return AmrGraph(

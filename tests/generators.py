@@ -75,6 +75,33 @@ def fuzz_penman_graph(rng: random.Random) -> AmrGraph:
     return random_graph(rng, max_nodes=10, concepts=concepts, roles=roles, constants=True)
 
 
+def layered_graph(rng: random.Random, size: int, depth: int) -> AmrGraph:
+    """An AMR-shaped graph of ``size`` nodes: a chain of ``depth`` nodes
+    with the rest filling a ternary tree under it, one re-entrant edge per
+    twenty nodes (forwards or backwards, so cycles occur) and a constant
+    per ten. Sizes and depths reach far past the matcher oracle's, for the
+    linear-time reader, writer and traversals."""
+    names = [f"v{i}" for i in range(size)]
+    concepts = ("thing", "rock", "water", "contain-01", "cause-01", "and")
+    roles = (":ARG0", ":ARG1", ":op1", ":mod", ":time", ":ARG0-of")
+    chain = max(1, min(depth, size))
+    edges: list[Edge] = []
+    for i in range(1, size):
+        parent = i - 1 if i < chain else (i - chain) // 3
+        edges.append(Edge(names[parent], rng.choice(roles), names[i]))
+    seen = set(edges)
+    for _ in range(size // 20):
+        edge = Edge(rng.choice(names), rng.choice(roles), rng.choice(names))
+        if edge not in seen:
+            edges.append(edge)
+            seen.add(edge)
+    for _ in range(size // 10):
+        edges.append(Edge(rng.choice(names), ":quant", Constant(str(len(edges)))))
+    rng.shuffle(edges)
+    nodes = {name: Concept(rng.choice(concepts)) for name in names}
+    return AmrGraph(root=names[0], nodes=nodes, edges=tuple(edges))
+
+
 # ---------------------------------------------------------------------------
 # Premise pairs per transformable type
 # ---------------------------------------------------------------------------

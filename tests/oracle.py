@@ -1,7 +1,11 @@
 """Brute-force oracles, kept deliberately independent of the production
 matcher: mappings are enumerated exhaustively per concept group and edge
 conditions are restated from the definitions, not shared with
-``amrinfer.graph``."""
+``amrinfer.graph``.
+
+The scan-based references further down are the quadratic traversals and
+the recursive Penman writer that the indexed graph core replaced; the
+property tests require the production code to agree with them exactly."""
 
 from __future__ import annotations
 
@@ -92,3 +96,104 @@ def brute_isomorphic(a: AmrGraph, b: AmrGraph) -> bool:
         if ok:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Scan-based references for the indexed graph core and the Penman writer
+# ---------------------------------------------------------------------------
+
+
+def scan_outgoing(g: AmrGraph, node) -> list:
+    """Out-edges of ``node`` by a scan over every edge."""
+    return [e for e in g.edges if e.source == node]
+
+
+def scan_closure(g: AmrGraph, node) -> list:
+    """Depth-first closure with list membership and a full edge scan per
+    node."""
+    seen: list = []
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n in seen:
+            continue
+        seen.append(n)
+        targets = [
+            e.target
+            for e in g.edges
+            if e.source == n and not isinstance(e.target, Constant)
+        ]
+        stack.extend(reversed(targets))
+    return seen
+
+
+def scan_subgraph_at(g: AmrGraph, node) -> AmrGraph:
+    """Closure of ``node`` plus every internal edge, filtered from the
+    whole edge tuple."""
+    keep = scan_closure(g, node)
+    nodes = {n: g.nodes[n] for n in keep}
+    edges = tuple(
+        e
+        for e in g.edges
+        if e.source in nodes
+        and (isinstance(e.target, Constant) or e.target in nodes)
+    )
+    return AmrGraph(root=node, nodes=nodes, edges=edges)
+
+
+def scan_serialize(g: AmrGraph) -> str:
+    """Recursive canonical Penman writer scanning every edge per node."""
+    visited: set = set()
+
+    def render_target(target) -> str:
+        if isinstance(target, Constant):
+            return target.render()
+        if target in visited:
+            return target
+        return emit(target)
+
+    def emit(node) -> str:
+        visited.add(node)
+        parts = [f"({node} / {g.nodes[node].label}"]
+        for e in g.edges:
+            if e.source == node:
+                parts.append(f"{e.role} {render_target(e.target)}")
+        return " ".join(parts) + ")"
+
+    return emit(g.root)
+
+
+def scan_document_order(g: AmrGraph) -> tuple[list, list]:
+    """Variables and edges in the order the canonical serialization
+    mentions them: the order parsing that text must store them in."""
+    nodes: list = []
+    edges: list = []
+
+    def visit(node) -> None:
+        nodes.append(node)
+        for e in scan_outgoing(g, node):
+            edges.append(e)
+            if not isinstance(e.target, Constant) and e.target not in nodes:
+                visit(e.target)
+
+    visit(g.root)
+    return nodes, edges
+
+
+def brute_carve(g: AmrGraph, at) -> set:
+    """``at`` plus every node the root no longer reaches once ``at`` is
+    deleted, by repeated passes over the edge list."""
+    alive = set() if at == g.root else {g.root}
+    changed = True
+    while changed:
+        changed = False
+        for e in g.edges:
+            if (
+                e.source in alive
+                and not isinstance(e.target, Constant)
+                and e.target != at
+                and e.target not in alive
+            ):
+                alive.add(e.target)
+                changed = True
+    return {n for n in g.nodes if n not in alive}

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amrinfer.cli import main
 from amrinfer.errors import DanglingReferenceError, PenmanSyntaxError
 from amrinfer.graph import Constant, exact_isomorphic
 from amrinfer.penman import (
@@ -86,6 +88,44 @@ class TestParse:
         with pytest.raises(PenmanSyntaxError) as exc:
             parse_penman(text)
         assert isinstance(exc.value.offset, int)
+
+
+    def test_unexpected_character_offset(self):
+        with pytest.raises(PenmanSyntaxError, match="unexpected character ':'") as exc:
+            parse_penman("(s / scar : x)")
+        assert exc.value.offset == 10
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [("(a / x :r b :r (b / y))", 12), ("(a / x :r (b / y :q (c / z) :q c))", 28)],
+    )
+    def test_duplicate_edge_reported_at_its_role(self, text, offset):
+        with pytest.raises(PenmanSyntaxError, match="duplicate edge") as exc:
+            parse_penman(text)
+        assert exc.value.offset == offset
+
+
+class TestDeepNesting:
+    DEPTH = 5000
+
+    def chain(self) -> str:
+        opens = " ".join(f"(v{i} / thing :ARG0" for i in range(self.DEPTH))
+        return f"{opens} (v{self.DEPTH} / end" + ")" * (self.DEPTH + 1)
+
+    def test_deep_chain_round_trips(self):
+        # Far past the default recursion limit, which stays as it is.
+        assert sys.getrecursionlimit() <= 1000
+        text = self.chain()
+        g = parse_penman(text)
+        assert len(g.nodes) == self.DEPTH + 1
+        assert g.closure(g.root)[-1] == f"v{self.DEPTH}"
+        assert serialize_penman(g) == text
+
+    def test_cli_parses_deep_chain(self, tmp_path, capsys):
+        path = tmp_path / "deep.amr"
+        path.write_text(self.chain() + "\n", encoding="utf-8")
+        assert main(["parse", str(path)]) == 0
+        assert capsys.readouterr().out == self.chain() + "\n"
 
 
 class TestSerialize:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from amrinfer.pipeline import (
     compute_stats,
     emit_prompts,
     load_corpus,
+    sample_corpus_path,
     save_records,
     stats_rows,
 )
@@ -117,6 +119,33 @@ class TestLoadCorpus:
                 with pytest.raises(RecordError) as exc:
                     load_corpus(path, strict=True)
                 assert exc.value.line == corrupt_at[0] + 1
+
+
+class TestParseOnce:
+    def test_load_and_annotate_parse_each_graph_once(self, monkeypatch):
+        import amrinfer.pipeline as pipeline
+
+        calls = []
+        real = pipeline.parse_penman
+
+        def counting(src):
+            calls.append(src)
+            return real(src)
+
+        monkeypatch.setattr(pipeline, "parse_penman", counting)
+        records, errors = load_corpus(sample_corpus_path())
+        assert not errors
+        annotate_corpus(records)
+        assert len(calls) == 3 * len(records)
+        assert {c.origin for c in calls} == {"p1_amr", "p2_amr", "c_amr"}
+
+    def test_cached_graphs_are_not_part_of_the_value(self):
+        record = sample_records()[0]
+        fresh = replace(record)
+        assert "graphs" in record.__dict__ and "graphs" not in fresh.__dict__
+        assert fresh == record
+        assert fresh.to_json() == record.to_json()
+        assert fresh.triple() == record.triple()
 
 
 class TestAnnotate:

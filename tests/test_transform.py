@@ -170,6 +170,42 @@ class TestDeterminismAndPurity:
                 out.validate()
 
 
+class TestEmittedGraphsReparse:
+    def test_arg_ins_drops_material_only_pointing_back(self):
+        # z3 and z4 hang under the bridge z2 in the donor; z4's edge back
+        # to z1 does not make them reachable from the root once z2 is cut.
+        p1 = AMR(
+            "(g / metal :domain (s / leaf) :mod (z0 / thing :ARG0 (z1 / thing) "
+            ":ARG0 (z2 / thing :ARG0 (z3 / thing :mod (z4 / thing))) "
+            ":ARG1 (z5 / thing)))"
+        )
+        p2 = AMR(
+            "(f / produce-01 :ARG1 (n / metal) :ARG2 (z / river) :mod (z0 / thing "
+            ":ARG0 (z1 / thing) :ARG0 (z2 / thing :ARG0 (z3 / thing "
+            ":mod (z4 / thing :ARG2 z1))) :ARG1 (z5 / thing)))"
+        )
+        out = transform(TransformRequest(p1, p2, InferenceType.ARG_INS))
+        out.validate()
+        text = serialize_penman(out)
+        assert serialize_penman(AMR(text)) == text
+
+    @pytest.mark.parametrize(
+        "general, specific, want",
+        [
+            ("printer", "3d-printer", "(p / printer :domain (s / 3d-printer))"),
+            ("4x4", "truck", "(g / 4x4 :domain (t / truck))"),
+            ("rock", "granite", "(r / rock :domain (g / granite))"),
+        ],
+    )
+    def test_generalisation_variables_are_valid(self, general, specific, want):
+        p1 = AMR(f"(h / have-03 :ARG0 (x / {general}) :ARG1 (w / wheel))")
+        p2 = AMR(f"(h / have-03 :ARG0 (x / {specific}) :ARG1 (w / wheel))")
+        out = transform(TransformRequest(p1, p2, InferenceType.ARG_PRED_GEN))
+        text = serialize_penman(out)
+        assert text == want
+        assert serialize_penman(AMR(text)) == text
+
+
 class TestSiteHint:
     def test_hint_overrides_automatic_site(self):
         # Two equally named hosts sites: the hint forces the smaller one.
