@@ -41,7 +41,6 @@ from .graph import (
     Concept,
     Constant,
     Edge,
-    Frame,
     GraphDelta,
     apply_delta,
     conjoin_graphs,

@@ -208,13 +208,6 @@ def lexical_signal(t: EntailmentTriple) -> InferenceType | None:
     return None
 
 
-def _root_condition_edge(g: AmrGraph) -> Edge | None:
-    for e in g.outgoing(g.root):
-        if e.role == ":condition" and not isinstance(e.target, Constant):
-            return e
-    return None
-
-
 def _originates_in(sub: AmrGraph, there: AmrGraph, not_there: AmrGraph) -> bool:
     """Material belongs exclusively to ``there``: it embeds into ``there``
     but not into ``not_there``."""
@@ -256,7 +249,7 @@ def _conditional_match(
     the conclusion."""
     g_c = t.conclusion.graph
     for which, (q, r) in (("pivot", (g_x, g_other)), ("other", (g_other, g_x))):
-        ce = _root_condition_edge(q)
+        ce = q.child_edge(q.root, ":condition")
         if ce is None:
             continue
         antecedent_head = q.nodes[ce.target].label
@@ -278,17 +271,12 @@ def _domain_coordination(
 ) -> bool:
     """Both premise roots carry :domain subjects and the conclusion
     coordinates those subjects under an ``and`` node."""
-
-    def domain_subject(g: AmrGraph) -> str | None:
-        for e in g.outgoing(g.root):
-            if e.role == ":domain" and not isinstance(e.target, Constant):
-                return g.nodes[e.target].label
-        return None
-
-    x = domain_subject(g_x)
-    y = domain_subject(g_other)
-    if x is None or y is None:
+    ex = g_x.child_edge(g_x.root, ":domain")
+    ey = g_other.child_edge(g_other.root, ":domain")
+    if ex is None or ey is None:
         return False
+    x = g_x.nodes[ex.target].label
+    y = g_other.nodes[ey.target].label
     for n, c in g_c.nodes.items():
         if c.label != "and":
             continue
@@ -353,11 +341,11 @@ def classify(t: EntailmentTriple) -> ClassificationResult:
         )
 
     # 1. No reasoning happened: the conclusion repeats a premise graph.
-    if relaxed_isomorphic(g_x, g_c) or relaxed_isomorphic(g_other, g_c):
-        which = "pivot" if relaxed_isomorphic(g_x, g_c) else "other"
-        return result(
-            InferenceType.PREM_COPY, Evidence("premise-copy", {"premise": which})
-        )
+    for which, g in (("pivot", g_x), ("other", g_other)):
+        if relaxed_isomorphic(g, g_c):
+            return result(
+                InferenceType.PREM_COPY, Evidence("premise-copy", {"premise": which})
+            )
 
     # 2. Conclusion-owned lexical signals.
     lexical = lexical_signal(t)

@@ -10,6 +10,13 @@ classes that drive every comparison in the package:
 * every other role (``:mod``, ``:time``, ``:manner``, ``:domain``,
   inverse ``-of`` forms, ...) is relaxable and may be ignored.
 
+Relaxed containment, relaxed equivalence and exact isomorphism are one
+embedding search, :func:`_embed`; each caller chooses the edges to keep
+and the candidate nodes. That search and the difference alignment file
+every edge under whichever endpoint they assign later, so each edge is
+checked once, as a plain ``(source, role, target)`` tuple against the
+other graph's edge set, when its last endpoint is assigned.
+
 All operations are pure; graphs are immutable value objects and safe to
 share between workers.
 """
@@ -17,6 +24,7 @@ share between workers.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -161,12 +169,15 @@ class AmrGraph:
         edges = self.edges
         return [edges[i] for i in self._out.get(node, ())]
 
-    def node_index(self, node: NodeId) -> int:
-        """Stable position of a node, used for deterministic tie-breaking."""
-        for i, n in enumerate(self.nodes):
-            if n == node:
-                return i
-        raise KeyError(node)
+    def child_edge(self, node: NodeId, role: str) -> Edge | None:
+        """The first out-edge of ``node`` with ``role`` whose target is a
+        variable, or None."""
+        edges = self.edges
+        for i in self._out.get(node, ()):
+            e = edges[i]
+            if e.role == role and not isinstance(e.target, Constant):
+                return e
+        return None
 
     def closure(self, node: NodeId) -> list[NodeId]:
         """Nodes reachable from ``node`` along edge direction, in a stable
@@ -199,135 +210,106 @@ class AmrGraph:
             edges=tuple(self.edges[i] for i in positions),
         )
 
-    def argument_frames(self) -> list["Frame"]:
-        """Every predicate node together with the span it dominates through
-        its argument-class edges."""
-        frames = []
-        for n, c in self.nodes.items():
-            if not c.is_predicate:
-                continue
-            span_nodes: dict[NodeId, Concept] = {n: c}
-            for e in self.outgoing(n):
-                if e.is_argument and not isinstance(e.target, Constant):
-                    for m in self.closure(e.target):
-                        span_nodes.setdefault(m, self.nodes[m])
-            span_edges = tuple(
-                e
-                for e in self.edges
-                if e.source in span_nodes
-                and (isinstance(e.target, Constant) or e.target in span_nodes)
-            )
-            frames.append(Frame(head=n, span=AmrGraph(n, span_nodes, span_edges)))
-        return frames
-
-
-@dataclass(frozen=True)
-class Frame:
-    """A predicate node plus the material its argument edges dominate."""
-
-    head: NodeId
-    span: AmrGraph
-
 
 # ---------------------------------------------------------------------------
 # Relaxed matching
 # ---------------------------------------------------------------------------
 
 
-def _edge_keys(g: AmrGraph, argument_only: bool) -> set[tuple]:
-    keys = set()
-    for e in g.edges:
-        if argument_only and not e.is_argument:
-            continue
-        t = ("const", e.target.value, e.target.is_string) if isinstance(
-            e.target, Constant
-        ) else ("node", e.target)
-        keys.add((e.source, e.role, t))
-    return keys
+def _concept_buckets(g: AmrGraph) -> dict[str, list[NodeId]]:
+    """Each concept label's nodes, in stored node order. Keyed by the label
+    string, whose hash and equality are cheaper than the dataclass's."""
+    buckets: dict[str, list[NodeId]] = {}
+    for n, c in g.nodes.items():
+        buckets.setdefault(c.label, []).append(n)
+    return buckets
 
 
-def _match_nodes(
-    inner: AmrGraph,
-    outer: AmrGraph,
-    *,
-    bijective: bool,
-) -> dict[NodeId, NodeId] | None:
-    """Search for an injective, concept-preserving node mapping under which
-    every argument-class edge of ``inner`` exists in ``outer``.
+def _candidates(a: AmrGraph, b: AmrGraph) -> dict[NodeId, list[NodeId]]:
+    """Each node of ``a`` with the nodes of ``b`` sharing its concept, in
+    ``b``'s stored order; same-concept nodes share one list."""
+    buckets = _concept_buckets(b)
+    return {v: buckets.get(c.label, []) for v, c in a.nodes.items()}
 
-    With ``bijective`` the mapping must also cover all of ``outer`` and
-    carry its argument-class edges back, giving a single witness for
-    equivalence. Returns the mapping or None.
-    """
-    inner_nodes = list(inner.nodes)
-    if bijective and len(inner_nodes) != len(outer.nodes):
-        return None
-    candidates: dict[NodeId, list[NodeId]] = {}
-    for v in inner_nodes:
-        cs = [w for w, c in outer.nodes.items() if c == inner.nodes[v]]
-        if not cs:
-            return None
-        candidates[v] = cs
 
-    outer_keys = _edge_keys(outer, argument_only=False)
-    inner_arg_edges = [e for e in inner.edges if e.is_argument]
-    # Most-constrained node first; stable index breaks ties.
-    index = {n: i for i, n in enumerate(inner_nodes)}
-    order = sorted(inner_nodes, key=lambda v: (len(candidates[v]), index[v]))
+def _file_edges(
+    order: list[NodeId], edges: Iterable[Edge]
+) -> list[list[tuple]]:
+    """File each edge, as ``(source, role, target, target_is_constant)``,
+    under the position in ``order`` of whichever endpoint comes later. A
+    search assigning the nodes in that order checks each edge once, when
+    its last endpoint is assigned."""
+    position = {v: i for i, v in enumerate(order)}
+    filed: list[list[tuple]] = [[] for _ in order]
+    for s, role, t in edges:
+        const = isinstance(t, Constant)
+        later = position[s] if const else max(position[s], position[t])
+        filed[later].append((s, role, t, const))
+    return filed
 
+
+def _embed(
+    a: AmrGraph,
+    b: AmrGraph,
+    edges: Iterable[Edge],
+    candidates: dict[NodeId, list[NodeId]],
+) -> bool:
+    """True when the nodes of ``a`` map injectively, each to one of its
+    ``candidates``, so that every edge in ``edges`` lands on an edge of
+    ``b``. Most-constrained node first, stored order breaking ties;
+    candidates are tried in the order given. ``edges`` is read once, and
+    only when every node has a candidate, so callers may pass a generator
+    that is costly to run."""
+    if not all(candidates.values()):
+        return False  # the search would fail at once; skip its set-up
+    order = sorted(a.nodes, key=lambda v: len(candidates[v]))
+    filed = _file_edges(order, edges)
+    keys = set(b.edges)
     assign: dict[NodeId, NodeId] = {}
     used: set[NodeId] = set()
-
-    def edges_ok() -> bool:
-        for e in inner_arg_edges:
-            if e.source not in assign:
-                continue
-            if isinstance(e.target, Constant):
-                key = (assign[e.source], e.role, ("const", e.target.value, e.target.is_string))
-                if key not in outer_keys:
-                    return False
-            elif e.target in assign:
-                key = (assign[e.source], e.role, ("node", assign[e.target]))
-                if key not in outer_keys:
-                    return False
-        return True
 
     def backtrack(i: int) -> bool:
         if i == len(order):
             return True
         v = order[i]
+        checks = filed[i]
         for w in candidates[v]:
             if w in used:
                 continue
             assign[v] = w
-            used.add(w)
-            if edges_ok() and backtrack(i + 1):
-                return True
+            for s, role, t, const in checks:
+                if (assign[s], role, t if const else assign[t]) not in keys:
+                    break
+            else:
+                used.add(w)
+                if backtrack(i + 1):
+                    return True
+                used.remove(w)
             del assign[v]
-            used.remove(w)
         return False
 
-    if not backtrack(0):
-        return None
-    if bijective:
-        # Forward preservation plus equal argument-edge counts makes the
-        # correspondence a bijection on argument structure.
-        if len(inner_arg_edges) != sum(1 for e in outer.edges if e.is_argument):
-            return None
-    return dict(assign)
+    return backtrack(0)
 
 
 def relaxed_subset(inner: AmrGraph, outer: AmrGraph) -> bool:
     """True when ``inner`` embeds injectively into ``outer`` preserving
     concepts and argument-class edges; relaxable edges are ignored on both
     sides."""
-    return _match_nodes(inner, outer, bijective=False) is not None
+    arguments = (e for e in inner.edges if e.is_argument)
+    return _embed(inner, outer, arguments, _candidates(inner, outer))
 
 
 def relaxed_isomorphic(a: AmrGraph, b: AmrGraph) -> bool:
     """Mutual relaxed containment under one bijective witness: same concept
     multiset and identical argument-class structure, modifiers ignored."""
-    return _match_nodes(a, b, bijective=True) is not None
+    if len(a.nodes) != len(b.nodes):
+        return False
+    arguments = (e for e in a.edges if e.is_argument)
+    if not _embed(a, b, arguments, _candidates(a, b)):
+        return False
+    # Forward preservation plus equal argument-edge counts makes the
+    # correspondence a bijection on argument structure.
+    return sum(e.is_argument for e in a.edges) == sum(e.is_argument for e in b.edges)
 
 
 def exact_isomorphic(a: AmrGraph, b: AmrGraph) -> bool:
@@ -335,52 +317,9 @@ def exact_isomorphic(a: AmrGraph, b: AmrGraph) -> bool:
     role. Used for serialization round-trips, never for inference."""
     if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
         return False
-    candidates: dict[NodeId, list[NodeId]] = {}
-    for v, c in a.nodes.items():
-        cs = [w for w, cw in b.nodes.items() if cw == c]
-        if not cs:
-            return False
-        candidates[v] = cs
-    if b.root not in candidates.get(a.root, []):
-        return False
-    candidates[a.root] = [b.root]
-
-    b_keys = _edge_keys(b, argument_only=False)
-    index = {n: i for i, n in enumerate(a.nodes)}
-    order = sorted(a.nodes, key=lambda v: (len(candidates[v]), index[v]))
-    assign: dict[NodeId, NodeId] = {}
-    used: set[NodeId] = set()
-
-    def edges_ok() -> bool:
-        for e in a.edges:
-            if e.source not in assign:
-                continue
-            if isinstance(e.target, Constant):
-                key = (assign[e.source], e.role, ("const", e.target.value, e.target.is_string))
-            elif e.target in assign:
-                key = (assign[e.source], e.role, ("node", assign[e.target]))
-            else:
-                continue
-            if key not in b_keys:
-                return False
-        return True
-
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            assign[v] = w
-            used.add(w)
-            if edges_ok() and backtrack(i + 1):
-                return True
-            del assign[v]
-            used.remove(w)
-        return False
-
-    return backtrack(0)
+    candidates = _candidates(a, b)
+    candidates[a.root] = [b.root] if b.root in candidates[a.root] else []
+    return _embed(a, b, a.edges, candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +373,15 @@ class GraphDelta:
 
 
 def _greedy_alignment(from_g: AmrGraph, to_g: AmrGraph) -> dict[NodeId, NodeId]:
-    """Concept-anchored fallback for graphs past the exact-search cap."""
-    taken: set[NodeId] = set()
+    """Concept-anchored fallback for graphs past the exact-search cap: each
+    ``from`` node takes the first untaken ``to`` node of its concept, in
+    stored order."""
+    untaken = {label: iter(ws) for label, ws in _concept_buckets(to_g).items()}
     mapping: dict[NodeId, NodeId] = {}
     for v, c in from_g.nodes.items():
-        for w, cw in to_g.nodes.items():
-            if w not in taken and cw == c:
-                mapping[v] = w
-                taken.add(w)
-                break
+        w = next(untaken[c.label], None) if c.label in untaken else None
+        if w is not None:
+            mapping[v] = w
     return mapping
 
 
@@ -460,33 +399,19 @@ def _exact_alignment(from_g: AmrGraph, to_g: AmrGraph) -> dict[NodeId, NodeId]:
     perfect alignment is seen; raises :class:`_BudgetExhausted` when the
     search state count exceeds the budget (many same-concept nodes)."""
     from_nodes = list(from_g.nodes)
-    to_keys = _edge_keys(to_g, argument_only=False)
-    candidates = {
-        v: [w for w, cw in to_g.nodes.items() if cw == from_g.nodes[v]]
-        for v in from_nodes
-    }
+    candidates = _candidates(from_g, to_g)
+    filed = _file_edges(from_nodes, from_g.edges)
+    to_keys = set(to_g.edges)
     perfect = (len(from_nodes), len(from_g.edges))
-
-    def matched_edges(mapping: dict[NodeId, NodeId]) -> int:
-        count = 0
-        for e in from_g.edges:
-            if e.source not in mapping:
-                continue
-            if isinstance(e.target, Constant):
-                key = (mapping[e.source], e.role, ("const", e.target.value, e.target.is_string))
-            elif e.target in mapping:
-                key = (mapping[e.source], e.role, ("node", mapping[e.target]))
-            else:
-                continue
-            if key in to_keys:
-                count += 1
-        return count
 
     best: dict[NodeId, NodeId] = {}
     best_score = (-1, -1)
     steps = 0
+    assign: dict[NodeId, NodeId] = {}
+    used: set[NodeId] = set()
 
-    def backtrack(i: int, assign: dict[NodeId, NodeId], used: set[NodeId]) -> None:
+    def backtrack(i: int, matched: int) -> None:
+        # ``matched`` counts the edges already carried onto ``to_g``.
         nonlocal best, best_score, steps
         if best_score == perfect:
             return
@@ -494,7 +419,7 @@ def _exact_alignment(from_g: AmrGraph, to_g: AmrGraph) -> dict[NodeId, NodeId]:
         if steps > _ALIGNMENT_BUDGET:
             raise _BudgetExhausted
         if i == len(from_nodes):
-            score = (len(assign), matched_edges(assign))
+            score = (len(assign), matched)
             if score > best_score:
                 best_score = score
                 best = dict(assign)
@@ -508,12 +433,17 @@ def _exact_alignment(from_g: AmrGraph, to_g: AmrGraph) -> dict[NodeId, NodeId]:
                 continue
             assign[v] = w
             used.add(w)
-            backtrack(i + 1, assign, used)
+            gained = 0
+            for s, role, t, const in filed[i]:
+                if const or (s in assign and t in assign):
+                    key = (assign[s], role, t if const else assign[t])
+                    gained += key in to_keys
+            backtrack(i + 1, matched + gained)
             del assign[v]
             used.remove(w)
-        backtrack(i + 1, assign, used)  # leave v unmatched
+        backtrack(i + 1, matched)  # leave v unmatched
 
-    backtrack(0, {}, set())
+    backtrack(0, 0)
     return best
 
 
@@ -534,17 +464,18 @@ def graph_difference(from_g: AmrGraph, to_g: AmrGraph) -> GraphDelta:
             mapping = _greedy_alignment(from_g, to_g)
             approximate = True
 
-    to_keys = _edge_keys(to_g, argument_only=False)
+    to_keys = set(to_g.edges)
     matched_to_edges: set[tuple] = set()
     removed_edges = []
     for e in from_g.edges:
+        s, role, t = e
         key = None
-        if e.source in mapping:
-            if isinstance(e.target, Constant):
-                key = (mapping[e.source], e.role, ("const", e.target.value, e.target.is_string))
-            elif e.target in mapping:
-                key = (mapping[e.source], e.role, ("node", mapping[e.target]))
-        if key is not None and key in to_keys:
+        if s in mapping:
+            if isinstance(t, Constant):
+                key = (mapping[s], role, t)
+            elif t in mapping:
+                key = (mapping[s], role, mapping[t])
+        if key in to_keys:
             matched_to_edges.add(key)
         else:
             removed_edges.append(e)
@@ -556,20 +487,14 @@ def graph_difference(from_g: AmrGraph, to_g: AmrGraph) -> GraphDelta:
     added_nodes = tuple(
         (n, c) for n, c in to_g.nodes.items() if n not in mapped_to
     )
-    added_edges = []
-    for e in to_g.edges:
-        t = ("const", e.target.value, e.target.is_string) if isinstance(
-            e.target, Constant
-        ) else ("node", e.target)
-        if (e.source, e.role, t) not in matched_to_edges:
-            added_edges.append(e)
+    added_edges = tuple(e for e in to_g.edges if e not in matched_to_edges)
 
     return GraphDelta(
         node_map=dict(mapping),
         removed_nodes=removed_nodes,
         removed_edges=tuple(removed_edges),
         added_nodes=added_nodes,
-        added_edges=tuple(added_edges),
+        added_edges=added_edges,
         to_root=to_g.root,
         approximate=approximate,
     )

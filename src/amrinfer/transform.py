@@ -58,12 +58,21 @@ def bridge_candidates(
 ) -> list[tuple[NodeId, NodeId, Concept]]:
     """All cross-graph node pairs sharing a concept, largest combined
     subtree first, then concept label, then stable node positions."""
+    # Closure size and position of each p2 node that shares a concept with
+    # p1, computed once.
+    shared = set(p1.nodes.values())
+    by_concept: dict[Concept, list[tuple[int, NodeId, int]]] = {}
+    for i2, (n2, c2) in enumerate(p2.nodes.items()):
+        if c2 in shared:
+            by_concept.setdefault(c2, []).append((i2, n2, len(p2.closure(n2))))
     pairs = []
-    for n1, c1 in p1.nodes.items():
-        for n2, c2 in p2.nodes.items():
-            if c1 == c2:
-                size = len(p1.closure(n1)) + len(p2.closure(n2))
-                pairs.append((size, c1.label, p1.node_index(n1), p2.node_index(n2), n1, n2, c1))
+    for i1, (n1, c1) in enumerate(p1.nodes.items()):
+        matches = by_concept.get(c1)
+        if not matches:
+            continue
+        size1 = len(p1.closure(n1))
+        for i2, n2, size2 in matches:
+            pairs.append((size1 + size2, c1.label, i1, i2, n1, n2, c1))
     pairs.sort(key=lambda p: (-p[0], p[1], p[2], p[3]))
     return [(n1, n2, c) for _, _, _, _, n1, n2, c in pairs]
 
@@ -83,24 +92,18 @@ def transform(req: TransformRequest) -> AmrGraph:
 # ---------------------------------------------------------------------------
 
 
-def _domain_child(g: AmrGraph, node: NodeId) -> NodeId | None:
-    for e in g.outgoing(node):
-        if e.role == ":domain" and not isinstance(e.target, Constant):
-            return e.target
-    return None
-
-
 def _arg_sub(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
     # The connective premise reads "specific is a (kind of) general":
     # its root is the general term, its :domain child the specific one.
     candidates = []
     for which, (kind, host) in (("p1", (p1, p2)), ("p2", (p2, p1))):
-        child = _domain_child(kind, kind.root)
-        if child is None:
+        domain = kind.child_edge(kind.root, ":domain")
+        if domain is None:
             continue
+        child = domain.target
         general = kind.nodes[kind.root]
         replacement = kind.subgraph_at(child)
-        for site, c in host.nodes.items():
+        for position, (site, c) in enumerate(host.nodes.items()):
             if c != general or site == host.root:
                 continue
             p1_node, p2_node = (child, site) if which == "p1" else (site, child)
@@ -108,7 +111,7 @@ def _arg_sub(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
                 (
                     -len(replacement.nodes),
                     general.label,
-                    host.node_index(site),
+                    position,
                     (p1_node, p2_node),
                     host,
                     site,
@@ -143,9 +146,9 @@ def _pred_sub(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
                 source = link.nodes[args[":ARG1"]]
                 target = link.nodes[args[":ARG2"]]
         elif root.is_predicate:
-            child = _domain_child(link, link.root)
-            if child is not None and link.nodes[child].is_predicate:
-                source, target = link.nodes[child], root
+            domain = link.child_edge(link.root, ":domain")
+            if domain is not None and link.nodes[domain.target].is_predicate:
+                source, target = link.nodes[domain.target], root
         if source is None or target is None or source == target:
             continue
         for site, c in host.nodes.items():
@@ -280,11 +283,7 @@ def _conditional_parts(
 ) -> tuple[Edge, AmrGraph, list[NodeId]] | None:
     """Split a conditional premise at its root :condition edge into the
     consequent graph and the antecedent placeholders that re-enter it."""
-    cond = None
-    for e in g.outgoing(g.root):
-        if e.role == ":condition" and not isinstance(e.target, Constant):
-            cond = e
-            break
+    cond = g.child_edge(g.root, ":condition")
     if cond is None:
         return None
     antecedent_nodes = set(g.closure(cond.target))
@@ -328,9 +327,9 @@ def _bind_placeholder(
         if c.label == label:
             return fact.subgraph_at(n)
     for source in (anchor, fact.root):
-        child = _domain_child(fact, source)
-        if child is not None:
-            return fact.subgraph_at(child)
+        domain = fact.child_edge(source, ":domain")
+        if domain is not None:
+            return fact.subgraph_at(domain.target)
     return None
 
 

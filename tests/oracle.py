@@ -3,15 +3,17 @@ matcher: mappings are enumerated exhaustively per concept group and edge
 conditions are restated from the definitions, not shared with
 ``amrinfer.graph``.
 
-The scan-based references further down are the quadratic traversals and
-the recursive Penman writer that the indexed graph core replaced; the
-property tests require the production code to agree with them exactly."""
+The scan-based references further down are the quadratic traversals, the
+recursive Penman writer and the rescanning difference alignment that the
+indexed graph core and the incremental matcher replaced; the property
+tests require the production code to agree with them exactly."""
 
 from __future__ import annotations
 
 from itertools import chain, permutations, product
 
-from amrinfer.graph import AmrGraph, Constant, is_argument_role
+from amrinfer import graph as graph_module
+from amrinfer.graph import AmrGraph, Constant, GraphDelta, is_argument_role
 
 
 def _groups(g: AmrGraph) -> dict:
@@ -197,3 +199,128 @@ def brute_carve(g: AmrGraph, at) -> set:
                 alive.add(e.target)
                 changed = True
     return {n for n in g.nodes if n not in alive}
+
+
+def _scan_edge_keys(g: AmrGraph) -> set:
+    keys = set()
+    for e in g.edges:
+        t = (
+            ("const", e.target.value, e.target.is_string)
+            if isinstance(e.target, Constant)
+            else ("node", e.target)
+        )
+        keys.add((e.source, e.role, t))
+    return keys
+
+
+def _scan_key(mapping: dict, e):
+    """Key of the image of ``e`` under ``mapping``, or None when an
+    endpoint is unmapped."""
+    if e.source not in mapping:
+        return None
+    if isinstance(e.target, Constant):
+        return (mapping[e.source], e.role, ("const", e.target.value, e.target.is_string))
+    if e.target in mapping:
+        return (mapping[e.source], e.role, ("node", mapping[e.target]))
+    return None
+
+
+def scan_greedy_alignment(from_g: AmrGraph, to_g: AmrGraph) -> dict:
+    """Each ``from`` node takes the first untaken same-concept ``to`` node,
+    by a scan over every ``to`` node."""
+    taken: set = set()
+    mapping: dict = {}
+    for v, c in from_g.nodes.items():
+        for w, cw in to_g.nodes.items():
+            if w not in taken and cw == c:
+                mapping[v] = w
+                taken.add(w)
+                break
+    return mapping
+
+
+def scan_exact_alignment(from_g: AmrGraph, to_g: AmrGraph) -> dict:
+    """The difference alignment with every edge of ``from_g`` rescanned at
+    each complete assignment. Same node order, candidate order, bound and
+    step count as the production search, and the same budget (read from
+    ``amrinfer.graph`` at call time) and exception."""
+    from_nodes = list(from_g.nodes)
+    to_keys = _scan_edge_keys(to_g)
+    candidates = {
+        v: [w for w, cw in to_g.nodes.items() if cw == from_g.nodes[v]]
+        for v in from_nodes
+    }
+    perfect = (len(from_nodes), len(from_g.edges))
+    budget = graph_module._ALIGNMENT_BUDGET
+
+    def matched_edges(mapping: dict) -> int:
+        return sum(1 for e in from_g.edges if _scan_key(mapping, e) in to_keys)
+
+    best: dict = {}
+    best_score = (-1, -1)
+    steps = 0
+
+    def backtrack(i: int, assign: dict, used: set) -> None:
+        nonlocal best, best_score, steps
+        if best_score == perfect:
+            return
+        steps += 1
+        if steps > budget:
+            raise graph_module._BudgetExhausted
+        if i == len(from_nodes):
+            score = (len(assign), matched_edges(assign))
+            if score > best_score:
+                best_score = score
+                best = dict(assign)
+            return
+        if (len(assign) + (len(from_nodes) - i), len(from_g.edges)) < best_score:
+            return
+        v = from_nodes[i]
+        for w in candidates[v]:
+            if w in used:
+                continue
+            assign[v] = w
+            used.add(w)
+            backtrack(i + 1, assign, used)
+            del assign[v]
+            used.remove(w)
+        backtrack(i + 1, assign, used)
+
+    backtrack(0, {}, set())
+    return best
+
+
+def scan_graph_difference(from_g: AmrGraph, to_g: AmrGraph) -> GraphDelta:
+    """``graph_difference`` over the scan-based alignments, with edges
+    compared through tagged keys."""
+    approximate = (
+        max(len(from_g.nodes), len(to_g.nodes)) > graph_module.EXACT_DIFFERENCE_CAP
+    )
+    if approximate:
+        mapping = scan_greedy_alignment(from_g, to_g)
+    else:
+        try:
+            mapping = scan_exact_alignment(from_g, to_g)
+        except graph_module._BudgetExhausted:
+            mapping = scan_greedy_alignment(from_g, to_g)
+            approximate = True
+    to_keys = _scan_edge_keys(to_g)
+    matched: set = set()
+    removed_edges = []
+    for e in from_g.edges:
+        key = _scan_key(mapping, e)
+        if key is not None and key in to_keys:
+            matched.add(key)
+        else:
+            removed_edges.append(e)
+    mapped_to = set(mapping.values())
+    identity = {n: n for n in to_g.nodes}
+    return GraphDelta(
+        node_map=dict(mapping),
+        removed_nodes=tuple((n, c) for n, c in from_g.nodes.items() if n not in mapping),
+        removed_edges=tuple(removed_edges),
+        added_nodes=tuple((n, c) for n, c in to_g.nodes.items() if n not in mapped_to),
+        added_edges=tuple(e for e in to_g.edges if _scan_key(identity, e) not in matched),
+        to_root=to_g.root,
+        approximate=approximate,
+    )

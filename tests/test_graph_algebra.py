@@ -270,15 +270,3 @@ class TestConjoin:
         assert relaxed_subset(a, out)
         assert relaxed_subset(b, out)
 
-
-class TestFrames:
-    def test_predicate_spans(self):
-        g = AMR(
-            "(r / require-01 :ARG0 (f / form-01 :ARG1 (d / diamond))"
-            " :ARG1 (p / pressure :mod (i / intense)))"
-        )
-        frames = {f.head: f for f in g.argument_frames()}
-        assert set(frames) == {"r", "f"}
-        assert frames["f"].span.concepts() == {"form-01", "diamond"}
-        # The outer frame's span reaches through both arguments.
-        assert "pressure" in frames["r"].span.concepts()

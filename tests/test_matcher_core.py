@@ -1,0 +1,174 @@
+"""The incremental matcher core agrees exactly with the rescanning
+references: the same difference alignment (or an exhausted budget on both
+sides), the same greedy fallback and the same delta; and exact isomorphism
+agrees with networkx's multigraph matcher."""
+
+from __future__ import annotations
+
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from amrinfer import graph as graph_module
+from amrinfer.errors import GraphInvariantError
+from amrinfer.graph import (
+    AmrGraph,
+    Concept,
+    Constant,
+    Edge,
+    _BudgetExhausted,
+    _exact_alignment,
+    _greedy_alignment,
+    exact_isomorphic,
+    graph_difference,
+)
+
+from tests.generators import layered_graph, random_graph
+from tests.oracle import (
+    scan_exact_alignment,
+    scan_graph_difference,
+    scan_greedy_alignment,
+)
+
+_seeds = st.integers(0, 10**9)
+
+# Small graphs with constants, under the production budget.
+_small_pairs = st.tuples(_seeds, _seeds).map(
+    lambda s: (
+        random_graph(random.Random(s[0]), constants=True),
+        random_graph(random.Random(s[1]), constants=True),
+    )
+)
+
+
+def _layered(seed: int, size: int, depth: int) -> AmrGraph:
+    return layered_graph(random.Random(seed), size, depth)
+
+
+# Up to 30 nodes: both sides of the exact-search cap, six concepts, so
+# many alignments exhaust a budget.
+_layered_pairs = st.tuples(
+    st.builds(_layered, _seeds, st.integers(1, 30), st.integers(0, 12)),
+    st.builds(_layered, _seeds, st.integers(1, 30), st.integers(0, 12)),
+)
+
+
+def _alignment(search, a: AmrGraph, b: AmrGraph):
+    try:
+        return list(search(a, b).items())
+    except _BudgetExhausted:
+        return "exhausted"
+
+
+def _assert_same_difference(a: AmrGraph, b: AmrGraph) -> None:
+    if max(len(a.nodes), len(b.nodes)) <= graph_module.EXACT_DIFFERENCE_CAP:
+        assert _alignment(_exact_alignment, a, b) == _alignment(
+            scan_exact_alignment, a, b
+        )
+    delta, ref = graph_difference(a, b), scan_graph_difference(a, b)
+    assert delta == ref
+    assert list(delta.node_map.items()) == list(ref.node_map.items())
+
+
+@given(_small_pairs)
+@settings(max_examples=300, deadline=None)
+def test_difference_matches_scan_reference(pair):
+    _assert_same_difference(*pair)
+
+
+@given(_layered_pairs, st.sampled_from((30, 300, 3000)))
+@settings(max_examples=150, deadline=None)
+def test_difference_matches_scan_reference_under_any_budget(pair, budget):
+    # Smaller budgets make exhaustion common and cheap; the reference reads
+    # the same patched budget, so both must stop on the same inputs.
+    with mock.patch.object(graph_module, "_ALIGNMENT_BUDGET", budget):
+        _assert_same_difference(*pair)
+
+
+@given(
+    st.one_of(
+        _small_pairs,
+        _layered_pairs,
+        st.tuples(
+            st.builds(_layered, _seeds, st.integers(1, 300), st.integers(0, 40)),
+            st.builds(_layered, _seeds, st.integers(1, 300), st.integers(0, 40)),
+        ),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_greedy_alignment_matches_scan_reference(pair):
+    a, b = pair
+    assert list(_greedy_alignment(a, b).items()) == list(
+        scan_greedy_alignment(a, b).items()
+    )
+
+
+# ---------------------------------------------------------------------------
+# Exact isomorphism against networkx
+# ---------------------------------------------------------------------------
+
+
+def _to_networkx(nx, g: AmrGraph):
+    """Concept plus a root flag on each variable, the role on each edge,
+    and every constant a labelled leaf of its own."""
+    out = nx.MultiDiGraph()
+    for n, c in g.nodes.items():
+        out.add_node(n, label=("variable", c.label, n == g.root))
+    for i, e in enumerate(g.edges):
+        target = e.target
+        if isinstance(target, Constant):
+            target = ("leaf", i)
+            out.add_node(target, label=("constant", e.target.value, e.target.is_string))
+        out.add_edge(e.source, target, role=e.role)
+    return out
+
+
+def _variant(rng: random.Random, g: AmrGraph) -> AmrGraph:
+    """``g`` with variables renamed and nodes and edges reordered, and
+    sometimes one concept, role, target or the root changed."""
+    names = list(g.nodes)
+    fresh = dict(zip(names, rng.sample([f"x{i}" for i in range(len(names))], len(names))))
+    nodes = {fresh[n]: g.nodes[n] for n in rng.sample(names, len(names))}
+    edges = [
+        Edge(fresh[e.source], e.role, e.target if isinstance(e.target, Constant) else fresh[e.target])
+        for e in g.edges
+    ]
+    rng.shuffle(edges)
+    root = fresh[g.root]
+    change = rng.randrange(6)
+    if change == 0:
+        n = rng.choice(list(nodes))
+        nodes[n] = Concept(rng.choice(("alpha", "beta", "gamma")))
+    elif change == 1 and edges:
+        i = rng.randrange(len(edges))
+        edges[i] = edges[i]._replace(role=rng.choice((":ARG0", ":ARG1", ":mod")))
+    elif change == 2 and edges:
+        i = rng.randrange(len(edges))
+        edges[i] = edges[i]._replace(target=rng.choice(list(nodes)))
+    elif change == 3:
+        root = rng.choice(list(nodes))
+    try:
+        return AmrGraph(root, nodes, tuple(edges))
+    except GraphInvariantError:
+        return g
+
+
+@given(_seeds, _seeds, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_exact_isomorphic_agrees_with_networkx(seed_a, seed_b, related):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms import isomorphism
+
+    rng = random.Random(seed_b)
+    a = random_graph(random.Random(seed_a), constants=True)
+    b = _variant(rng, a) if related else random_graph(rng, constants=True)
+    matcher = isomorphism.MultiDiGraphMatcher(
+        _to_networkx(nx, a),
+        _to_networkx(nx, b),
+        node_match=isomorphism.categorical_node_match("label", None),
+        edge_match=isomorphism.categorical_multiedge_match("role", None),
+    )
+    assert exact_isomorphic(a, b) == matcher.is_isomorphic()
