@@ -19,6 +19,6 @@ for record in records:
     )
 
 # The same thing, batched, with an aggregate report.
-_, report = annotate_corpus(records, jobs=4)
+_, report = annotate_corpus(records)
 matches = report.gold_total - len(report.gold_mismatches)
 print(f"\nbatch: {matches}/{report.gold_total} gold matches")

@@ -15,7 +15,7 @@ from amrinfer import (
 records, errors = load_corpus(sample_corpus_path())
 print(f"loaded {len(records)} records ({len(errors)} bad lines skipped)\n")
 
-annotated, report = annotate_corpus(records, jobs=4)
+annotated, report = annotate_corpus(records)
 print(compute_stats(report))
 
 # Prompt emission in the four injection modes. EP puts the type phrase in

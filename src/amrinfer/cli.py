@@ -102,10 +102,12 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_annotate(args) -> int:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be >= 1")
     records, errors = load_corpus(args.input, strict=args.strict)
     for error in errors:
         print(f"skipped {error}", file=sys.stderr)
-    annotated, report = annotate_corpus(records, jobs=args.jobs)
+    annotated, report = annotate_corpus(records)
     save_records(annotated, args.output)
     for record_id, message in report.errors:
         print(f"record {record_id}: {message}", file=sys.stderr)
@@ -120,7 +122,7 @@ def _cmd_stats(args) -> int:
     records, errors = load_corpus(args.input)
     for error in errors:
         print(f"skipped {error}", file=sys.stderr)
-    _, report = annotate_corpus(records, jobs=args.jobs)
+    _, report = annotate_corpus(records)
     if args.format == "json":
         print(json.dumps({"rows": stats_rows(report), "total": report.total}))
     else:
@@ -133,10 +135,12 @@ def _cmd_emit_prompts(args) -> int:
     for error in errors:
         print(f"skipped {error}", file=sys.stderr)
     mode = InjectionMode(args.mode)
-    if mode is not InjectionMode.NONE and any(
-        r.predicted_type is None and r.gold_type is None for r in records
-    ):
-        records, _ = annotate_corpus(records)
+    untyped = [r for r in records if not (r.predicted_type or r.gold_type)]
+    if mode is not InjectionMode.NONE and untyped:
+        # Only untyped records are classified, so that no record's type
+        # depends on the other records in the file. Ids are unique at load.
+        typed = {r.id: r for r in annotate_corpus(untyped)[0]}
+        records = [typed.get(r.id, r) for r in records]
     prompts = emit_prompts(records, mode)
     save_prompts(prompts, args.output)
     print(f"emitted {len(prompts)} prompts -> {args.output}", file=sys.stderr)
@@ -174,13 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("annotate", help="annotate a record file with inference types")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="ignored, must be >= 1: annotation runs serially")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=_cmd_annotate)
 
     p = sub.add_parser("stats", help="distribution table for an annotated file")
     p.add_argument("--input", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_stats)
 

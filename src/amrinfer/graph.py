@@ -154,9 +154,6 @@ class AmrGraph:
 
     # -- basic accessors ---------------------------------------------------
 
-    def concept(self, node: NodeId) -> Concept:
-        return self.nodes[node]
-
     def concepts(self) -> set[str]:
         """Set of concept labels present in the graph."""
         return {c.label for c in self.nodes.values()}

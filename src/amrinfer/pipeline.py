@@ -7,14 +7,14 @@ Record files are line-delimited JSON, one object per line, with the fields
 annotation. Type names in files are the stable abbreviations; display
 names appear only inside prompts.
 
-Annotation fans records out over a bounded worker pool; results are
-collected in input order, so the worker count never changes the output.
+Annotation classifies records one at a time, in input order: the
+classifier is pure Python and holds the GIL, so worker threads cannot
+speed it up. The annotated file depends on the input records alone.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -159,50 +159,35 @@ def _evidence_payload(result: ClassificationResult) -> dict:
     return payload
 
 
-def _annotate_one(record: CorpusRecord) -> CorpusRecord | AmrError:
-    try:
-        result = classify(record.triple())
-    except AmrError as exc:
-        return exc
-    return replace(
-        record,
-        predicted_type=result.type,
-        evidence=_evidence_payload(result),
-    )
-
-
 def annotate_corpus(
-    records: list[CorpusRecord], jobs: int = 1
+    records: list[CorpusRecord],
 ) -> tuple[list[CorpusRecord], AnnotationReport]:
-    """Classify every record. Output order equals input order for any
-    worker count; per-record failures land in the report, never abort the
-    batch."""
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if jobs == 1 or len(records) < 2:
-        outcomes = [_annotate_one(r) for r in records]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_annotate_one, records))
-
+    """Classify every record, in input order. A record whose triple raises
+    an :class:`AmrError` is kept as it was and its error lands in the
+    report; it never aborts the batch."""
     report = AnnotationReport()
     annotated: list[CorpusRecord] = []
-    for record, outcome in zip(records, outcomes):
-        if isinstance(outcome, AmrError):
-            report.errors.append((record.id, str(outcome)))
+    for record in records:
+        try:
+            result = classify(record.triple())
+        except AmrError as exc:
+            report.errors.append((record.id, str(exc)))
             annotated.append(record)
             continue
-        annotated.append(outcome)
-        assert outcome.predicted_type is not None
-        report.counts[outcome.predicted_type] = (
-            report.counts.get(outcome.predicted_type, 0) + 1
+        annotated.append(
+            replace(
+                record,
+                predicted_type=result.type,
+                evidence=_evidence_payload(result),
+            )
         )
+        report.counts[result.type] = report.counts.get(result.type, 0) + 1
         report.total += 1
-        if outcome.evidence and outcome.evidence.get("approximate"):
+        if result.approximate:
             report.approximate_deltas += 1
         if record.gold_type is not None:
             report.gold_total += 1
-            if record.gold_type is not outcome.predicted_type:
+            if record.gold_type is not result.type:
                 report.gold_mismatches.append(record.id)
     return annotated, report
 

@@ -29,10 +29,6 @@ class InferenceType(Enum):
     PREM_COPY = "PREM-COPY"
 
     @property
-    def abbreviation(self) -> str:
-        return self.value
-
-    @property
     def display_name(self) -> str:
         return _INFO[self].display_name
 

