@@ -54,7 +54,6 @@ from .graph import (
     substitute_subgraph,
 )
 from .penman import (
-    PenmanSource,
     iter_penman,
     parse_penman,
     read_penman_file,

@@ -14,12 +14,13 @@ import sys
 
 from .classify import EntailmentTriple, Statement, classify
 from .errors import AmrError
-from .penman import PenmanSource, parse_penman, read_penman_file, serialize_penman
+from .penman import parse_penman, read_penman_file, serialize_penman
 from .pipeline import (
     InjectionMode,
     annotate_corpus,
     compute_stats,
     emit_prompts,
+    evidence_payload,
     load_corpus,
     save_prompts,
     save_records,
@@ -41,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_graph(path: str):
     with open(path, encoding="utf-8") as handle:
-        return parse_penman(PenmanSource(handle.read(), origin=path))
+        return parse_penman(handle.read(), origin=path)
 
 
 def _cmd_parse(args) -> int:
@@ -58,21 +59,15 @@ def _cmd_classify(args) -> int:
     )
     result = classify(triple)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "type": result.type.value,
-                    "pivot": result.pivot,
-                    "rule": result.evidence.rule,
-                    "frame_insertion": result.frame_insertion,
-                    "witnesses": {
-                        k: list(v) if isinstance(v, tuple) else v
-                        for k, v in result.evidence.witnesses.items()
-                    },
-                },
-                sort_keys=True,
-            )
-        )
+        payload = {
+            "type": result.type.value,
+            **evidence_payload(result),
+            "witnesses": {
+                k: list(v) if isinstance(v, tuple) else v
+                for k, v in result.evidence.witnesses.items()
+            },
+        }
+        print(json.dumps(payload, sort_keys=True))
     else:
         print(result.type.value)
         print(

@@ -30,8 +30,8 @@ class GraphInvariantError(AmrError):
 
 
 class InvalidSiteError(AmrError):
-    """Substitution requested at the root: the caller should just use the
-    replacement graph directly."""
+    """An edit site that is not a node of the graph, or a substitution at
+    the root, where the caller should just use the replacement graph."""
 
 
 class DuplicateRoleError(AmrError):
@@ -43,7 +43,7 @@ class UnknownTypeError(AmrError):
 
 
 class MalformedTripleError(AmrError):
-    """An entailment triple with an empty text or a broken graph."""
+    """An entailment triple with an empty text."""
 
 
 class TransformError(AmrError):

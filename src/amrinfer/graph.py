@@ -112,6 +112,10 @@ class AmrGraph:
     Node order (dict insertion order) and edge order are part of the value;
     they fix serialization and tie-breaking everywhere else.
 
+    A graph is checked once, when it is built, and trusted after that:
+    nothing checks it again, so its ``nodes`` dict must not be changed
+    afterwards. The out-edge index relies on the same rule.
+
     Construction indexes each node's out-edges once, so construction,
     validation, :meth:`outgoing`, :meth:`closure` and :meth:`subgraph_at`
     run in time linear in the nodes and edges they touch. The index is a

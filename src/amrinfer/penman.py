@@ -19,7 +19,6 @@ call stack, so nesting depth has no limit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import DanglingReferenceError, PenmanSyntaxError
 from .graph import AmrGraph, Concept, Constant, Edge, NodeId
@@ -39,14 +38,6 @@ _TOKEN = re.compile(
 
 _IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9-]*\Z")
 _NUMBER = re.compile(r"[+-]?\d+(?:\.\d+)?\Z")
-
-
-@dataclass(frozen=True)
-class PenmanSource:
-    """Penman text plus optional provenance for diagnostics."""
-
-    text: str
-    origin: str | None = None
 
 
 def _tokenize(text: str, origin: str | None) -> list[tuple[str, str, int]]:
@@ -152,17 +143,14 @@ def _parse(text: str, origin: str | None) -> AmrGraph:
     return AmrGraph(root=var, nodes=nodes, edges=tuple(edges))
 
 
-def parse_penman(src: str | PenmanSource) -> AmrGraph:
+def parse_penman(text: str, origin: str | None = None) -> AmrGraph:
     """Parse one Penman expression into a graph.
 
-    Raises :class:`PenmanSyntaxError` (with a character offset) on malformed
-    input and :class:`DanglingReferenceError` when a variable is referenced
-    but never defined.
+    Raises :class:`PenmanSyntaxError` (with a character offset, and
+    ``origin`` in the message when given) on malformed input and
+    :class:`DanglingReferenceError` when a variable is referenced but never
+    defined.
     """
-    if isinstance(src, PenmanSource):
-        text, origin = src.text, src.origin
-    else:
-        text, origin = src, None
     if not text.strip():
         raise PenmanSyntaxError("empty input", 0, origin)
     return _parse(text, origin)
@@ -210,7 +198,7 @@ def iter_penman(text: str, origin: str | None = None) -> list[AmrGraph]:
             continue
         if block_lines:
             where = f"{origin}:{start_line}" if origin else f"line {start_line}"
-            graphs.append(parse_penman(PenmanSource("\n".join(block_lines), where)))
+            graphs.append(parse_penman("\n".join(block_lines), where))
             block_lines = []
     return graphs
 

@@ -23,7 +23,7 @@ from importlib import resources
 from .classify import ClassificationResult, EntailmentTriple, Statement, classify
 from .errors import AmrError, MissingTypeError, RecordError
 from .graph import AmrGraph
-from .penman import PenmanSource, parse_penman
+from .penman import parse_penman
 from .taxonomy import TABLE_ORDER, InferenceType, lookup_type
 
 REQUIRED_FIELDS = ("id", "p1_text", "p2_text", "c_text", "p1_amr", "p2_amr", "c_amr")
@@ -48,7 +48,7 @@ class CorpusRecord:
         the instance ``__dict__``, outside the dataclass fields, so it
         changes neither equality nor :meth:`to_json`."""
         return tuple(
-            parse_penman(PenmanSource(getattr(self, f), origin=f))
+            parse_penman(getattr(self, f), origin=f)
             for f in ("p1_amr", "p2_amr", "c_amr")
         )
 
@@ -148,7 +148,9 @@ class AnnotationReport:
         return self.counts.get(t, 0) / self.total
 
 
-def _evidence_payload(result: ClassificationResult) -> dict:
+def evidence_payload(result: ClassificationResult) -> dict:
+    """The evidence fields of a result, as annotated records and
+    ``amrinfer classify --format json`` carry them."""
     payload = {
         "rule": result.evidence.rule,
         "pivot": result.pivot,
@@ -178,7 +180,7 @@ def annotate_corpus(
             replace(
                 record,
                 predicted_type=result.type,
-                evidence=_evidence_payload(result),
+                evidence=evidence_payload(result),
             )
         )
         report.counts[result.type] = report.counts.get(result.type, 0) + 1

@@ -31,7 +31,6 @@ from .graph import (
     Edge,
     NodeId,
     _carve,
-    _import_nodes,
     conjoin_graphs,
     graph_difference,
     insert_argument,
@@ -389,15 +388,7 @@ def _generalise(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
 
 def _ift(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
     # Convention: p1 carries the consequent, p2 the antecedent.
-    taken: set[NodeId] = set()
-    c_nodes, c_edges, c_ren = _import_nodes(p1, taken)
-    a_nodes, a_edges, a_ren = _import_nodes(p2, taken)
-    nodes = dict(c_nodes)
-    nodes.update(a_nodes)
-    edges = list(c_edges)
-    edges.append(Edge(c_ren[p1.root], ":condition", a_ren[p2.root]))
-    edges.extend(a_edges)
-    return AmrGraph(root=c_ren[p1.root], nodes=nodes, edges=tuple(edges))
+    return insert_argument(p1, p1.root, p2, ":condition")
 
 
 _HANDLERS = {

@@ -19,6 +19,7 @@ from amrinfer.classify import (
     tokenize,
 )
 from amrinfer.errors import MalformedTripleError
+from amrinfer.graph import AmrGraph
 from amrinfer.penman import parse_penman
 from amrinfer.taxonomy import InferenceType
 
@@ -175,17 +176,25 @@ class TestClassifyCascade:
         assert classify(t).type is InferenceType.PREM_COPY
 
     def test_malformed_empty_text(self):
-        t = _triple("", "b", "c")
         with pytest.raises(MalformedTripleError):
-            classify(t)
+            _triple("", "b", "c")
 
-    def test_malformed_graph(self):
-        t = premise_copy_triple()
-        # Break an invariant behind the constructor's back.
-        t.p1.graph.nodes["zzz"] = t.p1.graph.nodes["c"]
-        with pytest.raises(MalformedTripleError):
+    def test_graphs_are_not_validated_again(self, monkeypatch):
+        # A graph is checked once, when it is built; classify trusts it.
+        # The triples stay alive, so no graph built meanwhile shares an id.
+        triples = [t for _, t, _ in sample_triples()]
+        validated = []
+        original = AmrGraph.validate
+
+        def recording(self):
+            validated.append(id(self))
+            original(self)
+
+        monkeypatch.setattr(AmrGraph, "validate", recording)
+        for t in triples:
             classify(t)
-        del t.p1.graph.nodes["zzz"]
+        own = {id(s.graph) for t in triples for s in (t.p1, t.p2, t.conclusion)}
+        assert validated and own.isdisjoint(validated)
 
     def test_deterministic(self):
         for _, triple, _ in sample_triples():

@@ -9,6 +9,7 @@ import pytest
 
 from amrinfer.classify import classify
 from amrinfer.cli import main
+from amrinfer.graph import EXACT_DIFFERENCE_CAP
 from amrinfer.pipeline import load_corpus, sample_corpus_path, save_records
 from amrinfer.taxonomy import InferenceType
 
@@ -71,6 +72,31 @@ def test_classify_json(scar_files, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["type"] == "ARG-SUB"
     assert payload["pivot"] == 2
+
+
+def test_classify_json_reports_approximate(tmp_path, capsys):
+    # An insertion past the exact-difference cap has an approximate delta;
+    # the JSON carries the same evidence fields as an annotated record.
+    chain = "".join(f" :mod (m{i} / hue{i}" for i in range(EXACT_DIFFERENCE_CAP))
+    graphs = {
+        "p1": "(r / rock)",
+        "p2": "(f / flow-01 :ARG1 (w / water))",
+        "c": f"(r / rock :mod (h / hard{chain}{')' * EXACT_DIFFERENCE_CAP}))",
+    }
+    paths = {}
+    for name, amr in graphs.items():
+        paths[name] = tmp_path / f"{name}.amr"
+        paths[name].write_text(amr + "\n", encoding="utf-8")
+    code = main(
+        ["classify", "--p1", str(paths["p1"]), "--p2", str(paths["p2"]),
+         "--c", str(paths["c"]), "--format", "json",
+         "--p1-text", "rocks exist", "--p2-text", "water flows",
+         "--c-text", "the rock is hard"]
+    )
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["type"] == "ARG-INS"
+    assert payload["approximate"] is True
 
 
 def test_transform_emits_penman(scar_files, capsys):

@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 from amrinfer.cli import main
 from amrinfer.errors import DanglingReferenceError, PenmanSyntaxError
 from amrinfer.graph import Constant, exact_isomorphic
-from amrinfer.penman import (
-    PenmanSource,
-    iter_penman,
-    parse_penman,
-    serialize_penman,
-)
+from amrinfer.penman import iter_penman, parse_penman, serialize_penman
 
 from tests.generators import fuzz_penman_graph
 
@@ -77,7 +72,7 @@ class TestParse:
 
     def test_origin_in_message(self):
         with pytest.raises(PenmanSyntaxError, match="fixture.amr"):
-            parse_penman(PenmanSource("(s / ", origin="fixture.amr"))
+            parse_penman("(s / ", origin="fixture.amr")
 
     @pytest.mark.parametrize(
         "text",

@@ -128,16 +128,16 @@ class TestParseOnce:
         calls = []
         real = pipeline.parse_penman
 
-        def counting(src):
-            calls.append(src)
-            return real(src)
+        def counting(text, origin=None):
+            calls.append(origin)
+            return real(text, origin)
 
         monkeypatch.setattr(pipeline, "parse_penman", counting)
         records, errors = load_corpus(sample_corpus_path())
         assert not errors
         annotate_corpus(records)
         assert len(calls) == 3 * len(records)
-        assert {c.origin for c in calls} == {"p1_amr", "p2_amr", "c_amr"}
+        assert set(calls) == {"p1_amr", "p2_amr", "c_amr"}
 
     def test_cached_graphs_are_not_part_of_the_value(self):
         record = sample_records()[0]

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from amrinfer.errors import (
+    DuplicateRoleError,
     NoBridgeError,
     NoConditionalError,
     NotSingleDifferenceError,
@@ -126,6 +127,15 @@ class TestErrors:
                     AMR("(a / rock)"), AMR("(b / water)"), InferenceType.ARG_SUB
                 )
             )
+
+    def test_ift_refuses_an_equivalent_condition(self):
+        # IFT attaches the antecedent as ARG-INS attaches an argument, so a
+        # root that already carries an equivalent :condition is refused.
+        p1 = AMR("(f / flow-01 :ARG1 (w / water) :condition (r / rain-01))")
+        with pytest.raises(DuplicateRoleError):
+            transform(TransformRequest(p1, AMR("(x / rain-01)"), InferenceType.IFT))
+        got = transform(TransformRequest(p1, AMR("(x / snow-01)"), InferenceType.IFT))
+        assert [e.role for e in got.outgoing(got.root)].count(":condition") == 2
 
     def test_no_conditional(self):
         with pytest.raises(NoConditionalError):
