@@ -25,6 +25,7 @@ from .pipeline import (
     save_prompts,
     save_records,
     stats_rows,
+    tally_corpus,
 )
 from .taxonomy import lookup_type
 from .transform import TransformRequest, transform
@@ -117,7 +118,7 @@ def _cmd_stats(args) -> int:
     records, errors = load_corpus(args.input)
     for error in errors:
         print(f"skipped {error}", file=sys.stderr)
-    _, report = annotate_corpus(records)
+    report = tally_corpus(records)
     if args.format == "json":
         print(json.dumps({"rows": stats_rows(report), "total": report.total}))
     else:

@@ -12,10 +12,19 @@ classes that drive every comparison in the package:
 
 Relaxed containment, relaxed equivalence and exact isomorphism are one
 embedding search, :func:`_embed`; each caller chooses the edges to keep
-and the candidate nodes. That search and the difference alignment file
-every edge under whichever endpoint they assign later, so each edge is
-checked once, as a plain ``(source, role, target)`` tuple against the
-other graph's edge set, when its last endpoint is assigned.
+and may pin the root. A node's candidates are the other graph's nodes of
+its concept, so the search first counts: each concept must occur in the
+other graph at least as often. It then searches only the nodes that a
+kept edge touches. Every other node is counted, not searched, since any
+free partner of its concept will do. The search runs on an explicit
+stack, so its depth is not bounded by Python's recursion limit.
+
+That search and the difference alignment file every edge under whichever
+endpoint they assign later, so each edge is checked once, as a plain
+``(source, role, target)`` tuple against the other graph's edge set, when
+its last endpoint is assigned. Both read the other graph's match index
+(concept buckets, edge set, argument edges), which each graph builds on
+first use and keeps.
 
 All operations are pure; graphs are immutable value objects and safe to
 share between workers.
@@ -24,7 +33,7 @@ share between workers.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -101,6 +110,24 @@ class Edge(NamedTuple):
         return is_argument_role(self.role)
 
 
+class _lazy:
+    """A method computed on first access and then kept in the instance
+    ``__dict__``, where later lookups find it without calling anything.
+    Unlike ``functools.cached_property`` before Python 3.12, it takes no
+    lock: that lock cost more than indexing a small graph, and the value
+    is a pure function of the graph."""
+
+    def __init__(self, func: Callable) -> None:
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class AmrGraph:
     """Immutable rooted graph. Construction validates well-formedness:
@@ -114,13 +141,15 @@ class AmrGraph:
 
     A graph is checked once, when it is built, and trusted after that:
     nothing checks it again, so its ``nodes`` dict must not be changed
-    afterwards. The out-edge index relies on the same rule.
+    afterwards. Both indexes below rely on the same rule.
 
     Construction indexes each node's out-edges once, so construction,
     validation, :meth:`outgoing`, :meth:`closure` and :meth:`subgraph_at`
-    run in time linear in the nodes and edges they touch. The index is a
-    plain attribute derived from ``edges`` alone; it is not a field, so
-    equality, ``repr`` and ``dataclasses.replace`` see only the value.
+    run in time linear in the nodes and edges they touch. The match index
+    (concept buckets, edge set and argument edges) is built lazily, each
+    part on first use, and then kept, so parsing and loading pay nothing
+    for it. Neither index is a field, so equality, ``repr`` and
+    ``dataclasses.replace`` see only the value.
     """
 
     root: NodeId
@@ -158,12 +187,12 @@ class AmrGraph:
 
     # -- basic accessors ---------------------------------------------------
 
-    def concepts(self) -> set[str]:
-        """Set of concept labels present in the graph."""
-        return {c.label for c in self.nodes.values()}
+    def concepts(self) -> AbstractSet[str]:
+        """Set of concept labels present in the graph (a read-only view)."""
+        return self._buckets.keys()
 
     def has_concept(self, label: str) -> bool:
-        return any(c.label == label for c in self.nodes.values())
+        return label in self._buckets
 
     def outgoing(self, node: NodeId) -> list[Edge]:
         """Edges leaving ``node``, in stored edge order (a fresh list)."""
@@ -211,26 +240,36 @@ class AmrGraph:
             edges=tuple(self.edges[i] for i in positions),
         )
 
+    # -- match index: each part built on first use, then kept --------------
+
+    @_lazy
+    def _buckets(self) -> dict[str, list[NodeId]]:
+        """Each concept label's nodes, in stored node order. Keyed by the
+        label string, whose hash and equality are cheaper than the
+        dataclass's."""
+        buckets: dict[str, list[NodeId]] = {}
+        for n, c in self.nodes.items():
+            label = c.label
+            if label in buckets:
+                buckets[label].append(n)
+            else:
+                buckets[label] = [n]
+        return buckets
+
+    @_lazy
+    def _edge_set(self) -> frozenset[Edge]:
+        return frozenset(self.edges)
+
+    @_lazy
+    def _arguments(self) -> tuple[Edge, ...]:
+        """The argument edges, in stored edge order."""
+        is_argument = _ARGUMENT_ROLE.match
+        return tuple([e for e in self.edges if is_argument(e.role)])
+
 
 # ---------------------------------------------------------------------------
 # Relaxed matching
 # ---------------------------------------------------------------------------
-
-
-def _concept_buckets(g: AmrGraph) -> dict[str, list[NodeId]]:
-    """Each concept label's nodes, in stored node order. Keyed by the label
-    string, whose hash and equality are cheaper than the dataclass's."""
-    buckets: dict[str, list[NodeId]] = {}
-    for n, c in g.nodes.items():
-        buckets.setdefault(c.label, []).append(n)
-    return buckets
-
-
-def _candidates(a: AmrGraph, b: AmrGraph) -> dict[NodeId, list[NodeId]]:
-    """Each node of ``a`` with the nodes of ``b`` sharing its concept, in
-    ``b``'s stored order; same-concept nodes share one list."""
-    buckets = _concept_buckets(b)
-    return {v: buckets.get(c.label, []) for v, c in a.nodes.items()}
 
 
 def _file_edges(
@@ -250,54 +289,74 @@ def _file_edges(
 
 
 def _embed(
-    a: AmrGraph,
-    b: AmrGraph,
-    edges: Iterable[Edge],
-    candidates: dict[NodeId, list[NodeId]],
+    a: AmrGraph, b: AmrGraph, edges: Sequence[Edge], root: NodeId | None = None
 ) -> bool:
-    """True when the nodes of ``a`` map injectively, each to one of its
-    ``candidates``, so that every edge in ``edges`` lands on an edge of
-    ``b``. Most-constrained node first, stored order breaking ties;
-    candidates are tried in the order given. ``edges`` is read once, and
-    only when every node has a candidate, so callers may pass a generator
-    that is costly to run."""
-    if not all(candidates.values()):
-        return False  # the search would fail at once; skip its set-up
-    order = sorted(a.nodes, key=lambda v: len(candidates[v]))
+    """True when the nodes of ``a`` map injectively onto same-concept nodes
+    of ``b`` so that every edge in ``edges`` lands on an edge of ``b``;
+    ``root``, when given, is the only candidate for ``a``'s root.
+
+    Only the nodes that ``edges`` touch, and a pinned root, are searched:
+    every other node just needs a free partner in its concept bucket.
+    Candidates are whole buckets, so Hall's condition for the unsearched
+    nodes is the check, made first, that each concept occurs in ``b`` at
+    least as often as in ``a``; every witness for the searched nodes then
+    completes. The search takes the most-constrained node first, first
+    touch breaking ties, and runs on an explicit stack that keeps one
+    candidate iterator per depth."""
+    have = b._buckets
+    for label, vs in a._buckets.items():
+        if len(have.get(label, ())) < len(vs):
+            return False
+    labels = a.nodes
+    candidates: dict[NodeId, Sequence[NodeId]] = {}
+    if root is not None:
+        if labels[a.root].label != b.nodes[root].label:
+            return False
+        candidates[a.root] = (root,)
+    for s, _, t in edges:
+        if s not in candidates:
+            candidates[s] = have[labels[s].label]
+        if not isinstance(t, Constant) and t not in candidates:
+            candidates[t] = have[labels[t].label]
+    order = sorted(candidates, key=lambda v: len(candidates[v]))
+    if not order:
+        return True
     filed = _file_edges(order, edges)
-    keys = set(b.edges)
+    keys = b._edge_set
     assign: dict[NodeId, NodeId] = {}
     used: set[NodeId] = set()
-
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        checks = filed[i]
-        for w in candidates[v]:
+    last = len(order) - 1
+    tries = [iter(candidates[order[0]])]
+    while tries:
+        depth = len(tries) - 1
+        v = order[depth]
+        for w in tries[-1]:
             if w in used:
                 continue
             assign[v] = w
-            for s, role, t, const in checks:
+            for s, role, t, const in filed[depth]:
                 if (assign[s], role, t if const else assign[t]) not in keys:
                     break
             else:
-                used.add(w)
-                if backtrack(i + 1):
-                    return True
-                used.remove(w)
-            del assign[v]
-        return False
-
-    return backtrack(0)
+                break  # w fits
+        else:
+            # Every candidate failed: back up and free the parent's node.
+            tries.pop()
+            if tries:
+                used.remove(assign[order[depth - 1]])
+            continue
+        if depth == last:
+            return True
+        used.add(w)
+        tries.append(iter(candidates[order[depth + 1]]))
+    return False
 
 
 def relaxed_subset(inner: AmrGraph, outer: AmrGraph) -> bool:
     """True when ``inner`` embeds injectively into ``outer`` preserving
     concepts and argument-class edges; relaxable edges are ignored on both
     sides."""
-    arguments = (e for e in inner.edges if e.is_argument)
-    return _embed(inner, outer, arguments, _candidates(inner, outer))
+    return _embed(inner, outer, inner._arguments)
 
 
 def relaxed_isomorphic(a: AmrGraph, b: AmrGraph) -> bool:
@@ -305,12 +364,12 @@ def relaxed_isomorphic(a: AmrGraph, b: AmrGraph) -> bool:
     multiset and identical argument-class structure, modifiers ignored."""
     if len(a.nodes) != len(b.nodes):
         return False
-    arguments = (e for e in a.edges if e.is_argument)
-    if not _embed(a, b, arguments, _candidates(a, b)):
-        return False
+    arguments = a._arguments
     # Forward preservation plus equal argument-edge counts makes the
     # correspondence a bijection on argument structure.
-    return sum(e.is_argument for e in a.edges) == sum(e.is_argument for e in b.edges)
+    if len(arguments) != len(b._arguments):
+        return False
+    return _embed(a, b, arguments)
 
 
 def exact_isomorphic(a: AmrGraph, b: AmrGraph) -> bool:
@@ -318,9 +377,7 @@ def exact_isomorphic(a: AmrGraph, b: AmrGraph) -> bool:
     role. Used for serialization round-trips, never for inference."""
     if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
         return False
-    candidates = _candidates(a, b)
-    candidates[a.root] = [b.root] if b.root in candidates[a.root] else []
-    return _embed(a, b, a.edges, candidates)
+    return _embed(a, b, a.edges, root=b.root)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +434,7 @@ def _greedy_alignment(from_g: AmrGraph, to_g: AmrGraph) -> dict[NodeId, NodeId]:
     """Concept-anchored fallback for graphs past the exact-search cap: each
     ``from`` node takes the first untaken ``to`` node of its concept, in
     stored order."""
-    untaken = {label: iter(ws) for label, ws in _concept_buckets(to_g).items()}
+    untaken = {label: iter(ws) for label, ws in to_g._buckets.items()}
     mapping: dict[NodeId, NodeId] = {}
     for v, c in from_g.nodes.items():
         w = next(untaken[c.label], None) if c.label in untaken else None
@@ -400,9 +457,9 @@ def _exact_alignment(from_g: AmrGraph, to_g: AmrGraph) -> dict[NodeId, NodeId]:
     perfect alignment is seen; raises :class:`_BudgetExhausted` when the
     search state count exceeds the budget (many same-concept nodes)."""
     from_nodes = list(from_g.nodes)
-    candidates = _candidates(from_g, to_g)
+    buckets, to_keys = to_g._buckets, to_g._edge_set
+    candidates = [buckets.get(c.label, ()) for c in from_g.nodes.values()]
     filed = _file_edges(from_nodes, from_g.edges)
-    to_keys = set(to_g.edges)
     perfect = (len(from_nodes), len(from_g.edges))
 
     best: dict[NodeId, NodeId] = {}
@@ -429,7 +486,7 @@ def _exact_alignment(from_g: AmrGraph, to_g: AmrGraph) -> dict[NodeId, NodeId]:
         if (len(assign) + (len(from_nodes) - i), len(from_g.edges)) < best_score:
             return
         v = from_nodes[i]
-        for w in candidates[v]:
+        for w in candidates[i]:
             if w in used:
                 continue
             assign[v] = w
@@ -465,7 +522,7 @@ def graph_difference(from_g: AmrGraph, to_g: AmrGraph) -> GraphDelta:
             mapping = _greedy_alignment(from_g, to_g)
             approximate = True
 
-    to_keys = set(to_g.edges)
+    to_keys = to_g._edge_set
     matched_to_edges: set[tuple] = set()
     removed_edges = []
     for e in from_g.edges:

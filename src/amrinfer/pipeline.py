@@ -10,6 +10,9 @@ names appear only inside prompts.
 Annotation classifies records one at a time, in input order: the
 classifier is pure Python and holds the GIL, so worker threads cannot
 speed it up. The annotated file depends on the input records alone.
+Statistics count the types that records already carry and classify only
+the records that have none; both paths share one tally,
+:meth:`AnnotationReport.add`.
 """
 
 from __future__ import annotations
@@ -142,6 +145,19 @@ class AnnotationReport:
     approximate_deltas: int = 0
     errors: list[tuple[str, str]] = field(default_factory=list)
 
+    def add(self, record: CorpusRecord) -> None:
+        """Count one typed record: its predicted type, an ``approximate``
+        flag in its evidence, and its agreement with a gold type."""
+        t = record.predicted_type
+        self.counts[t] = self.counts.get(t, 0) + 1
+        self.total += 1
+        if isinstance(record.evidence, dict) and record.evidence.get("approximate"):
+            self.approximate_deltas += 1
+        if record.gold_type is not None:
+            self.gold_total += 1
+            if record.gold_type is not t:
+                self.gold_mismatches.append(record.id)
+
     def fraction(self, t: InferenceType) -> float:
         if self.total == 0:
             return 0.0
@@ -161,6 +177,22 @@ def evidence_payload(result: ClassificationResult) -> dict:
     return payload
 
 
+def _annotate(record: CorpusRecord, report: AnnotationReport) -> CorpusRecord:
+    """``record`` with its predicted type and evidence, counted in
+    ``report``; unchanged, with its error in ``report``, when its triple
+    raises an :class:`AmrError`."""
+    try:
+        result = classify(record.triple())
+    except AmrError as exc:
+        report.errors.append((record.id, str(exc)))
+        return record
+    record = replace(
+        record, predicted_type=result.type, evidence=evidence_payload(result)
+    )
+    report.add(record)
+    return record
+
+
 def annotate_corpus(
     records: list[CorpusRecord],
 ) -> tuple[list[CorpusRecord], AnnotationReport]:
@@ -168,30 +200,21 @@ def annotate_corpus(
     an :class:`AmrError` is kept as it was and its error lands in the
     report; it never aborts the batch."""
     report = AnnotationReport()
-    annotated: list[CorpusRecord] = []
+    return [_annotate(record, report) for record in records], report
+
+
+def tally_corpus(records: list[CorpusRecord]) -> AnnotationReport:
+    """The report of records as they stand: a record that carries a
+    predicted type is counted as stored, and only the others are
+    classified. On a file written by ``annotate`` it equals the report
+    :func:`annotate_corpus` gave."""
+    report = AnnotationReport()
     for record in records:
-        try:
-            result = classify(record.triple())
-        except AmrError as exc:
-            report.errors.append((record.id, str(exc)))
-            annotated.append(record)
-            continue
-        annotated.append(
-            replace(
-                record,
-                predicted_type=result.type,
-                evidence=evidence_payload(result),
-            )
-        )
-        report.counts[result.type] = report.counts.get(result.type, 0) + 1
-        report.total += 1
-        if result.approximate:
-            report.approximate_deltas += 1
-        if record.gold_type is not None:
-            report.gold_total += 1
-            if record.gold_type is not result.type:
-                report.gold_mismatches.append(record.id)
-    return annotated, report
+        if record.predicted_type is None:
+            _annotate(record, report)
+        else:
+            report.add(record)
+    return report
 
 
 # ---------------------------------------------------------------------------

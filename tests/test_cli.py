@@ -193,3 +193,36 @@ def test_emit_prompts_keeps_loaded_types_when_some_records_are_untyped(tmp_path)
     assert second["input"].startswith(
         f"the inference type is {untyped.gold_type.display_name} </s>"
     )
+
+
+def test_annotate_a_record_whose_graphs_are_a_long_chain(tmp_path, capsys):
+    # p1 and the conclusion are the same 1501-node :ARG0 chain; a matcher
+    # that recursed once per node raised RecursionError and aborted the
+    # batch with no output file.
+    n = 1501
+    chain = "".join(f"(n{i} / thing-{i % 7} :ARG0 " for i in range(n - 1))
+    chain += f"(n{n - 1} / thing-{(n - 1) % 7})" + ")" * (n - 1)
+    record = {
+        "id": "chain", "p1_text": "a chain", "p2_text": "a rock",
+        "c_text": "a chain", "p1_amr": chain, "p2_amr": "(r / rock)",
+        "c_amr": chain,
+    }
+    source, out = tmp_path / "chain.jsonl", tmp_path / "out.jsonl"
+    source.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert main(["annotate", "--input", str(source), "--output", str(out)]) == 0
+    (annotated,) = load_corpus(str(out))[0]
+    assert annotated.predicted_type is InferenceType.PREM_COPY
+
+
+def test_stats_reads_stored_types_without_classifying(tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "annotated.jsonl")
+    assert main(["annotate", "--input", sample_corpus_path(), "--output", out]) == 0
+    assert main(["stats", "--input", out, "--format", "json"]) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(triple):
+        raise AssertionError("stats classified a typed record")
+
+    monkeypatch.setattr("amrinfer.pipeline.classify", refuse)
+    assert main(["stats", "--input", out, "--format", "json"]) == 0
+    assert capsys.readouterr().out == expected
