@@ -110,6 +110,14 @@ class Edge(NamedTuple):
         return is_argument_role(self.role)
 
 
+def _out_index(edges: tuple[Edge, ...]) -> dict[NodeId, list[int]]:
+    """Source -> positions of its out-edges in ``edges``, ascending."""
+    out: dict[NodeId, list[int]] = {}
+    for i, e in enumerate(edges):
+        out.setdefault(e.source, []).append(i)
+    return out
+
+
 class _lazy:
     """A method computed on first access and then kept in the instance
     ``__dict__``, where later lookups find it without calling anything.
@@ -141,7 +149,14 @@ class AmrGraph:
 
     A graph is checked once, when it is built, and trusted after that:
     nothing checks it again, so its ``nodes`` dict must not be changed
-    afterwards. Both indexes below rely on the same rule.
+    afterwards. Both indexes below rely on the same rule. The public
+    constructor always validates. Two makers prove every invariant
+    themselves and build through the private :meth:`_built`, which skips
+    :meth:`validate`: the Penman reader (its root is the first variable,
+    every reference is checked to be defined, duplicate edges are
+    rejected, and every instance is nested under the root) and
+    :meth:`subgraph_at` (a closure of a valid graph with all of that
+    closure's out-edges).
 
     Construction indexes each node's out-edges once, so construction,
     validation, :meth:`outgoing`, :meth:`closure` and :meth:`subgraph_at`
@@ -159,12 +174,19 @@ class AmrGraph:
     def __post_init__(self) -> None:
         edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in self.edges)
         object.__setattr__(self, "edges", edges)
-        # Source -> positions of its out-edges in ``edges``, ascending.
-        out: dict[NodeId, list[int]] = {}
-        for i, e in enumerate(edges):
-            out.setdefault(e.source, []).append(i)
-        object.__setattr__(self, "_out", out)
+        object.__setattr__(self, "_out", _out_index(edges))
         self.validate()
+
+    @classmethod
+    def _built(
+        cls, root: NodeId, nodes: dict[NodeId, Concept], edges: tuple[Edge, ...]
+    ) -> "AmrGraph":
+        """A graph whose maker has proved every invariant that
+        :meth:`validate` checks; indexed as the constructor does, not
+        validated. Only the Penman reader and :meth:`subgraph_at` call it."""
+        g = object.__new__(cls)
+        vars(g).update(root=root, nodes=nodes, edges=edges, _out=_out_index(edges))
+        return g
 
     def validate(self) -> None:
         if self.root not in self.nodes:
@@ -234,10 +256,11 @@ class AmrGraph:
         keep = self.closure(node)
         out = self._out
         positions = sorted(i for n in keep for i in out.get(n, ()))
-        return AmrGraph(
-            root=node,
-            nodes={n: self.nodes[n] for n in keep},
-            edges=tuple(self.edges[i] for i in positions),
+        # A closure of a valid graph with all its out-edges is valid.
+        return AmrGraph._built(
+            node,
+            {n: self.nodes[n] for n in keep},
+            tuple([self.edges[i] for i in positions]),
         )
 
     # -- match index: each part built on first use, then kept --------------
@@ -636,7 +659,7 @@ def _import_nodes(
     return nodes, edges, rename
 
 
-def _carve(g: AmrGraph, at: NodeId) -> set[NodeId]:
+def carve(g: AmrGraph, at: NodeId) -> set[NodeId]:
     """Nodes that disappear when ``at`` is cut out: ``at`` and the part of
     its closure no longer reachable from the root once ``at`` is gone.
     Re-entrant nodes the surviving part still points to stay."""
@@ -669,7 +692,7 @@ def substitute_subgraph(
             "substitution at the root replaces the whole graph; "
             "use the replacement directly"
         )
-    removed = _carve(g, at)
+    removed = carve(g, at)
     survivors = {n: c for n, c in g.nodes.items() if n not in removed}
     taken = set(survivors)
     new_nodes, new_edges, rename = _import_nodes(replacement, taken)

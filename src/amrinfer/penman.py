@@ -14,80 +14,116 @@ exactly isomorphic to the original.
 Reading and writing are single passes in time linear in the text and the
 graph. Both keep the open instances on an explicit stack rather than the
 call stack, so nesting depth has no limit.
+
+The reader works on token strings, taken by one ``findall`` over a single
+token pattern. A token's kind follows from its first character; a
+``"``-prefixed token is a string only when the whole of it is one closed
+string. Offsets are not kept: an error finds its token's offset by
+scanning the text again with the same pattern. A lone ``:`` is reported
+as an unexpected character before any other error. The reader proves
+every invariant that :meth:`AmrGraph.validate` checks, so it builds its
+graph without validating it again.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .errors import DanglingReferenceError, PenmanSyntaxError
 from .graph import AmrGraph, Concept, Constant, Edge, NodeId
 
-_TOKEN = re.compile(
-    r"""
-    (?P<lparen>\() |
-    (?P<rparen>\)) |
-    (?P<slash>/) |
-    (?P<role>:[^\s()/]+) |
-    (?P<string>"(?:[^"\\]|\\.)*") |
-    (?P<symbol>[^\s()/:]+) |
-    (?P<bad>\S)
-    """,
-    re.VERBOSE,
-)
+_STRING = r'"(?:[^"\\]|\\.)*"'
+# One alternative per token kind, tried in this order: ``(``, ``)``,
+# ``/``, role, closed string, symbol (which also takes a ``"`` that opens
+# no closed string) and, last, any other character, which can only be a
+# ``:`` that starts no role.
+_TOKEN = re.compile(rf"[()/]|:[^\s()/]+|{_STRING}|[^\s()/:]+|\S")
+_CLOSED_STRING = re.compile(_STRING)
+_KINDS = {"(": "lparen", ")": "rparen", "/": "slash", ":": "role"}
+# First characters of the tokens that are not plain symbols.
+_NOT_PLAIN = '()/:"'
 
 _IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9-]*\Z")
 _NUMBER = re.compile(r"[+-]?\d+(?:\.\d+)?\Z")
 
 
-def _tokenize(text: str, origin: str | None) -> list[tuple[str, str, int]]:
-    """``(kind, text, offset)`` for every token, in one regex pass."""
-    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
-    for kind, token, offset in tokens:
-        if kind == "bad":
-            raise PenmanSyntaxError(f"unexpected character {token!r}", offset, origin)
-    return tokens
+def _kind(token: str) -> str:
+    """A token's kind, from its first character. A ``"``-prefixed token is
+    a string only when the whole of it is one closed string."""
+    if token[0] == '"':
+        return "string" if _CLOSED_STRING.fullmatch(token) else "symbol"
+    return _KINDS.get(token[0], "symbol")
+
+
+def _offset(text: str, index: int) -> int:
+    """Character offset of token ``index``, found by scanning again with
+    the same pattern; only an error needs it."""
+    return next(islice(_TOKEN.finditer(text), index, None)).start()
 
 
 def _parse(text: str, origin: str | None) -> AmrGraph:
-    """One pass over the tokens. The instances still open around the
-    current one wait on an explicit stack, each with the role that leads
-    to the current one and that edge's slot. A slot is reserved when its
-    role is read, so edge order is the document order of the roles."""
-    tokens = _tokenize(text, origin)
+    """One pass over the token strings. The instances still open around
+    the current one wait on an explicit stack, each with the role that
+    leads to the current one, that role's token index and its edge's slot.
+    A slot is reserved when its role is read, so edge order is the
+    document order of the roles.
+
+    The graph is built without :meth:`AmrGraph.validate`, because the
+    reader proves every invariant it checks: the root is the first
+    variable, every instance is nested under the root, every reference is
+    checked to be defined, and a duplicate edge is an error."""
+    tokens = _TOKEN.findall(text)
+    if ":" in tokens:
+        raise PenmanSyntaxError(
+            "unexpected character ':'", _offset(text, tokens.index(":")), origin
+        )
     count = len(tokens)
 
-    def error(message: str, offset: int | None = None) -> PenmanSyntaxError:
-        if offset is None:
-            offset = len(text.rstrip())
+    def error(message: str, at: int | None = None) -> PenmanSyntaxError:
+        """The error at token index ``at``, or at the end of the input."""
+        offset = len(text.rstrip()) if at is None else _offset(text, at)
         return PenmanSyntaxError(message, offset, origin)
 
-    def take(i: int, kind: str, expected: str) -> tuple[str, str, int]:
+    def take(i: int, kind: str, expected: str) -> str:
         if i >= count:
             raise error(f"expected {expected}, found end of input")
         token = tokens[i]
-        if token[0] != kind:
-            raise error(f"expected {expected}, found {token[1]!r}", token[2])
+        if _kind(token) != kind:
+            raise error(f"expected {expected}, found {token!r}", i)
         return token
 
     nodes: dict[NodeId, Concept] = {}
 
     def open_instance(i: int) -> NodeId:
-        """Read the four tokens ``( var / concept`` at ``i``."""
+        """Read the four tokens ``( var / concept`` at ``i``. A well-formed
+        instance is accepted at once; otherwise the tokens are taken one
+        by one, so that the first to fail names the error."""
+        if i + 3 < count:
+            paren, var, slash, concept = tokens[i : i + 4]
+            if (
+                paren == "("
+                and slash == "/"
+                and concept[0] not in _NOT_PLAIN
+                and _IDENTIFIER.match(var)
+                and var not in nodes
+            ):
+                nodes[var] = Concept(concept)
+                return var
         take(i, "lparen", "'('")
-        _, var, var_offset = take(i + 1, "symbol", "a variable name")
+        var = take(i + 1, "symbol", "a variable name")
         if not _IDENTIFIER.match(var):
-            raise error(f"invalid variable name {var!r}", var_offset)
+            raise error(f"invalid variable name {var!r}", i + 1)
         take(i + 2, "slash", "'/'")
-        concept = take(i + 3, "symbol", "a concept")[1]
+        concept = take(i + 3, "symbol", "a concept")
         if var in nodes:
-            raise error(f"duplicate variable definition {var!r}", var_offset)
+            raise error(f"duplicate variable definition {var!r}", i + 1)
         nodes[var] = Concept(concept)
         return var
 
     edges: list[Edge | None] = []
     edge_set: set[Edge] = set()
-    # (variable, offset) pairs awaiting definition.
+    # (variable, token index) pairs awaiting definition.
     references: list[tuple[NodeId, int]] = []
     stack: list[tuple[NodeId, str, int, int]] = []
     var = open_instance(0)
@@ -95,52 +131,55 @@ def _parse(text: str, origin: str | None) -> AmrGraph:
     while True:
         if i >= count:
             raise error("expected ':role' or ')', found end of input")
-        kind, token, offset = tokens[i]
+        token = tokens[i]
         i += 1
-        if kind == "rparen":
+        if token == ")":
             if not stack:
                 break
             target = var
-            var, role, role_offset, slot = stack.pop()
-        elif kind != "role":
-            raise error(f"expected ':role' or ')', found {token!r}", offset)
+            var, role, role_at, slot = stack.pop()
+        elif token[0] != ":":
+            raise error(f"expected ':role' or ')', found {token!r}", i - 1)
         else:
-            role, role_offset, slot = token, offset, len(edges)
+            role, role_at, slot = token, i - 1, len(edges)
             edges.append(None)
             if i >= count:
                 raise error("expected an edge target, found end of input")
-            kind, token, offset = tokens[i]
-            if kind == "lparen":
-                stack.append((var, role, role_offset, slot))
+            token = tokens[i]
+            if token == "(":
+                stack.append((var, role, role_at, slot))
                 var = open_instance(i)
                 i += 4
                 continue
             i += 1
-            if kind == "string":
+            first = token[0]
+            if first == '"' and _CLOSED_STRING.fullmatch(token):
                 target = Constant(token[1:-1], is_string=True)
-            elif kind != "symbol":
-                raise error(f"expected an edge target, found {token!r}", offset)
+            elif first in ")/:":
+                raise error(f"expected an edge target, found {token!r}", i - 1)
             elif _NUMBER.match(token) or token in ("-", "+"):
                 target = Constant(token)
             elif _IDENTIFIER.match(token):
-                references.append((token, offset))
+                references.append((token, i - 1))
                 target = token
             else:
                 target = Constant(token)
         edge = Edge(var, role, target)
         if edge in edge_set:
-            raise error(f"duplicate edge {role}", role_offset)
+            raise error(f"duplicate edge {role}", role_at)
         edge_set.add(edge)
         edges[slot] = edge
 
     if i < count:
-        raise error(f"trailing input {tokens[i][1]!r}", tokens[i][2])
-    for ref, offset in references:
+        raise error(f"trailing input {tokens[i]!r}", i)
+    for ref, at in references:
         if ref not in nodes:
             raise DanglingReferenceError(
-                f"variable {ref!r} referenced but never defined", offset, origin
+                f"variable {ref!r} referenced but never defined",
+                _offset(text, at),
+                origin,
             )
-    return AmrGraph(root=var, nodes=nodes, edges=tuple(edges))
+    return AmrGraph._built(var, nodes, tuple(edges))
 
 
 def parse_penman(text: str, origin: str | None = None) -> AmrGraph:
@@ -185,13 +224,20 @@ def serialize_penman(g: AmrGraph) -> str:
 
 
 def iter_penman(text: str, origin: str | None = None) -> list[AmrGraph]:
-    """Parse a document of graphs separated by blank lines."""
+    """Parse a document of graphs separated by blank lines.
+
+    Lines whose first non-blank character is ``#``, such as the ``# ::id``
+    and ``# ::snt`` metadata of the AMR releases, are skipped; a block of
+    nothing else yields no graph. An error names the line of its block's
+    first Penman line."""
     graphs = []
     block_lines: list[str] = []
     start_line = 1
-    line_no = 0
     for line_no, line in enumerate(text.splitlines() + [""], start=1):
-        if line.strip():
+        stripped = line.lstrip()
+        if stripped.startswith("#"):
+            continue
+        if stripped:
             if not block_lines:
                 start_line = line_no
             block_lines.append(line)

@@ -30,7 +30,7 @@ from .graph import (
     Constant,
     Edge,
     NodeId,
-    _carve,
+    carve,
     conjoin_graphs,
     graph_difference,
     insert_argument,
@@ -255,7 +255,7 @@ def _arg_ins(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
             parent = _parent_argument_edge(donor, donor_node)
             if parent is None or donor_node == donor.root:
                 continue
-            dropped = _carve(donor, donor_node)
+            dropped = carve(donor, donor_node)
             if parent.source in dropped:
                 continue
             residue = _remove_nodes(donor, dropped, donor.root)

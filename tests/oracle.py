@@ -6,14 +6,28 @@ conditions are restated from the definitions, not shared with
 The scan-based references further down are the quadratic traversals, the
 recursive Penman writer and the rescanning difference alignment that the
 indexed graph core and the incremental matcher replaced; the property
-tests require the production code to agree with them exactly."""
+tests require the production code to agree with them exactly.
+
+``scan_parse_penman`` at the end is the Penman reader that the
+string-token reader replaced: it builds a ``(kind, text, offset)`` tuple
+for every token and validates the graph it builds."""
 
 from __future__ import annotations
 
+import re
 from itertools import chain, permutations, product
 
 from amrinfer import graph as graph_module
-from amrinfer.graph import AmrGraph, Constant, GraphDelta, is_argument_role
+from amrinfer.errors import DanglingReferenceError, PenmanSyntaxError
+from amrinfer.graph import (
+    AmrGraph,
+    Concept,
+    Constant,
+    Edge,
+    GraphDelta,
+    NodeId,
+    is_argument_role,
+)
 
 
 def _groups(g: AmrGraph) -> dict:
@@ -324,3 +338,135 @@ def scan_graph_difference(from_g: AmrGraph, to_g: AmrGraph) -> GraphDelta:
         to_root=to_g.root,
         approximate=approximate,
     )
+
+
+# ---------------------------------------------------------------------------
+# Tuple-token reference for the Penman reader
+# ---------------------------------------------------------------------------
+
+_TOKEN = re.compile(
+    r"""
+    (?P<lparen>\() |
+    (?P<rparen>\)) |
+    (?P<slash>/) |
+    (?P<role>:[^\s()/]+) |
+    (?P<string>"(?:[^"\\]|\\.)*") |
+    (?P<symbol>[^\s()/:]+) |
+    (?P<bad>\S)
+    """,
+    re.VERBOSE,
+)
+
+_IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9-]*\Z")
+_NUMBER = re.compile(r"[+-]?\d+(?:\.\d+)?\Z")
+
+
+def _tokenize(text: str, origin: str | None) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` for every token, in one regex pass."""
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    for kind, token, offset in tokens:
+        if kind == "bad":
+            raise PenmanSyntaxError(f"unexpected character {token!r}", offset, origin)
+    return tokens
+
+
+def _parse(text: str, origin: str | None) -> AmrGraph:
+    """One pass over the tokens. The instances still open around the
+    current one wait on an explicit stack, each with the role that leads
+    to the current one and that edge's slot. A slot is reserved when its
+    role is read, so edge order is the document order of the roles."""
+    tokens = _tokenize(text, origin)
+    count = len(tokens)
+
+    def error(message: str, offset: int | None = None) -> PenmanSyntaxError:
+        if offset is None:
+            offset = len(text.rstrip())
+        return PenmanSyntaxError(message, offset, origin)
+
+    def take(i: int, kind: str, expected: str) -> tuple[str, str, int]:
+        if i >= count:
+            raise error(f"expected {expected}, found end of input")
+        token = tokens[i]
+        if token[0] != kind:
+            raise error(f"expected {expected}, found {token[1]!r}", token[2])
+        return token
+
+    nodes: dict[NodeId, Concept] = {}
+
+    def open_instance(i: int) -> NodeId:
+        """Read the four tokens ``( var / concept`` at ``i``."""
+        take(i, "lparen", "'('")
+        _, var, var_offset = take(i + 1, "symbol", "a variable name")
+        if not _IDENTIFIER.match(var):
+            raise error(f"invalid variable name {var!r}", var_offset)
+        take(i + 2, "slash", "'/'")
+        concept = take(i + 3, "symbol", "a concept")[1]
+        if var in nodes:
+            raise error(f"duplicate variable definition {var!r}", var_offset)
+        nodes[var] = Concept(concept)
+        return var
+
+    edges: list[Edge | None] = []
+    edge_set: set[Edge] = set()
+    # (variable, offset) pairs awaiting definition.
+    references: list[tuple[NodeId, int]] = []
+    stack: list[tuple[NodeId, str, int, int]] = []
+    var = open_instance(0)
+    i = 4
+    while True:
+        if i >= count:
+            raise error("expected ':role' or ')', found end of input")
+        kind, token, offset = tokens[i]
+        i += 1
+        if kind == "rparen":
+            if not stack:
+                break
+            target = var
+            var, role, role_offset, slot = stack.pop()
+        elif kind != "role":
+            raise error(f"expected ':role' or ')', found {token!r}", offset)
+        else:
+            role, role_offset, slot = token, offset, len(edges)
+            edges.append(None)
+            if i >= count:
+                raise error("expected an edge target, found end of input")
+            kind, token, offset = tokens[i]
+            if kind == "lparen":
+                stack.append((var, role, role_offset, slot))
+                var = open_instance(i)
+                i += 4
+                continue
+            i += 1
+            if kind == "string":
+                target = Constant(token[1:-1], is_string=True)
+            elif kind != "symbol":
+                raise error(f"expected an edge target, found {token!r}", offset)
+            elif _NUMBER.match(token) or token in ("-", "+"):
+                target = Constant(token)
+            elif _IDENTIFIER.match(token):
+                references.append((token, offset))
+                target = token
+            else:
+                target = Constant(token)
+        edge = Edge(var, role, target)
+        if edge in edge_set:
+            raise error(f"duplicate edge {role}", role_offset)
+        edge_set.add(edge)
+        edges[slot] = edge
+
+    if i < count:
+        raise error(f"trailing input {tokens[i][1]!r}", tokens[i][2])
+    for ref, offset in references:
+        if ref not in nodes:
+            raise DanglingReferenceError(
+                f"variable {ref!r} referenced but never defined", offset, origin
+            )
+    return AmrGraph(root=var, nodes=nodes, edges=tuple(edges))
+
+
+def scan_parse_penman(text: str, origin: str | None = None) -> AmrGraph:
+    """``parse_penman`` over the tuple-token reader: an empty-input check,
+    then ``_parse``."""
+    if not text.strip():
+        raise PenmanSyntaxError("empty input", 0, origin)
+    return _parse(text, origin)

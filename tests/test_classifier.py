@@ -19,7 +19,7 @@ from amrinfer.classify import (
     tokenize,
 )
 from amrinfer.errors import MalformedTripleError
-from amrinfer.graph import AmrGraph
+from amrinfer.graph import AmrGraph, Concept
 from amrinfer.penman import parse_penman
 from amrinfer.taxonomy import InferenceType
 
@@ -181,7 +181,6 @@ class TestClassifyCascade:
 
     def test_graphs_are_not_validated_again(self, monkeypatch):
         # A graph is checked once, when it is built; classify trusts it.
-        # The triples stay alive, so no graph built meanwhile shares an id.
         triples = [t for _, t, _ in sample_triples()]
         validated = []
         original = AmrGraph.validate
@@ -191,10 +190,14 @@ class TestClassifyCascade:
             original(self)
 
         monkeypatch.setattr(AmrGraph, "validate", recording)
+        # The patch records: the public constructor validates under it.
+        probe = AmrGraph("s", {"s": Concept("scar")}, ())
+        assert validated == [id(probe)]
         for t in triples:
             classify(t)
-        own = {id(s.graph) for t in triples for s in (t.p1, t.p2, t.conclusion)}
-        assert validated and own.isdisjoint(validated)
+        # Nor does classify validate a graph it builds, such as the
+        # subgraphs it carves.
+        assert validated == [id(probe)]
 
     def test_deterministic(self):
         for _, triple, _ in sample_triples():

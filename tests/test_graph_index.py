@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amrinfer.errors import GraphInvariantError
-from amrinfer.graph import AmrGraph, Concept, Edge, _carve
+from amrinfer.graph import AmrGraph, Concept, Edge, carve
 from amrinfer.penman import parse_penman, serialize_penman
 
 from tests.generators import fuzz_penman_graph, layered_graph, random_graph
@@ -49,6 +49,8 @@ def test_traversals_match_scan_references(g):
         sub, ref = g.subgraph_at(n), scan_subgraph_at(g, n)
         assert sub == ref
         assert list(sub.nodes) == list(ref.nodes)
+        # Built without validation; valid by construction.
+        sub.validate()
 
 
 @given(_graphs())
@@ -68,7 +70,7 @@ def test_reader_and_writer_match_scan_references(g):
 def test_carve_removes_exactly_what_the_root_no_longer_reaches(g, pick):
     nodes = list(g.nodes)
     at = nodes[pick % len(nodes)]
-    assert _carve(g, at) == brute_carve(g, at)
+    assert carve(g, at) == brute_carve(g, at)
 
 
 def test_index_is_not_part_of_the_value():

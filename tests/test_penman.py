@@ -176,3 +176,31 @@ class TestMultiGraphReader:
     def test_error_carries_block_origin(self):
         with pytest.raises(PenmanSyntaxError, match="line 3"):
             iter_penman("(s / scar)\n\n(r / \n")
+
+    def test_metadata_blocks_are_skipped(self):
+        # The layout of the AMR releases: metadata lines before each graph.
+        text = (
+            "# AMR release; generated for a test\n"
+            "\n"
+            "# ::id test.1 ::date 2026-01-01\n"
+            "# ::snt The boy wants to go.\n"
+            "(w / want-01\n"
+            "   :ARG0 (b / boy)\n"
+            "   :ARG1 (g / go-01 :ARG0 b))\n"
+            "\n"
+            "  # ::id test.2\n"
+            "# ::snt Scars.\n"
+            "(s / scar)\n"
+        )
+        graphs = iter_penman(text)
+        assert [g.root for g in graphs] == ["w", "s"]
+        assert graphs[0] == parse_penman(
+            "(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-01 :ARG0 b))"
+        )
+
+    def test_metadata_only_document_has_no_graph(self):
+        assert iter_penman("# ::id a\n# ::snt nothing parsed\n\n# ::id b\n") == []
+
+    def test_error_names_first_penman_line_after_metadata(self):
+        with pytest.raises(PenmanSyntaxError, match="doc.amr:4: "):
+            iter_penman("(s / scar)\n\n# ::id x\n(r / \n", origin="doc.amr")
