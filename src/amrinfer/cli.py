@@ -42,8 +42,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_graph(path: str):
+    """The one graph of a Penman file. Lines that ``iter_penman`` skips,
+    those whose first non-blank character is ``#``, are blanked, so error
+    offsets still index the file."""
     with open(path, encoding="utf-8") as handle:
-        return parse_penman(handle.read(), origin=path)
+        lines = handle.read().splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line.lstrip().startswith("#"):
+            body = line.rstrip("\r\n")
+            lines[i] = " " * len(body) + line[len(body):]
+    return parse_penman("".join(lines), origin=path)
 
 
 def _cmd_parse(args) -> int:

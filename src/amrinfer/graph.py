@@ -26,6 +26,16 @@ its last endpoint is assigned. Both read the other graph's match index
 (concept buckets, edge set, argument edges), which each graph builds on
 first use and keeps.
 
+The difference alignment is a branch-and-bound search for a maximum
+common subgraph. Its bound counts only what is still open (McGregor,
+1982): the nodes not yet reached that have a candidate, and the edges
+filed at or after the current position, whose fate is not yet decided.
+A branch is pruned when that bound scores no better than the incumbent.
+Since only a strict improvement replaces the incumbent, the result is the
+first leaf, in search order, with the best score; no pruned branch can
+hold it, so the bound decides how many states the search visits before
+the budget, never which alignment it returns.
+
 All operations are pure; graphs are immutable value objects and safe to
 share between workers.
 """
@@ -476,14 +486,28 @@ class _BudgetExhausted(Exception):
 def _exact_alignment(from_g: AmrGraph, to_g: AmrGraph) -> dict[NodeId, NodeId]:
     """Maximum-common-subgraph alignment: maximises mapped nodes, then
     matched edges. Deterministic: candidates are tried in stable node order
-    and only strict improvements replace the incumbent. Stops early once a
-    perfect alignment is seen; raises :class:`_BudgetExhausted` when the
-    search state count exceeds the budget (many same-concept nodes)."""
+    and only strict improvements replace the incumbent, so the result is
+    the first leaf, in search order, with the best score. A branch is
+    pruned when its mapped nodes plus the later nodes that have a
+    candidate, and its matched edges plus the edges filed at or after its
+    position (the only ones still undecided), score no better than the
+    incumbent; such a branch cannot hold that first best leaf. Stops early
+    once a perfect alignment is seen; raises :class:`_BudgetExhausted`
+    when the search state count exceeds the budget."""
     from_nodes = list(from_g.nodes)
     buckets, to_keys = to_g._buckets, to_g._edge_set
     candidates = [buckets.get(c.label, ()) for c in from_g.nodes.values()]
     filed = _file_edges(from_nodes, from_g.edges)
     perfect = (len(from_nodes), len(from_g.edges))
+    # Suffix counts for the bound: ``undecided[i]`` edges are filed at
+    # positions >= i, so only they can still match once position i is
+    # reached; ``matchable[i]`` nodes at positions >= i have a candidate.
+    n = len(from_nodes)
+    undecided = [0] * (n + 1)
+    matchable = [0] * (n + 1)
+    for i in reversed(range(n)):
+        undecided[i] = undecided[i + 1] + len(filed[i])
+        matchable[i] = matchable[i + 1] + bool(candidates[i])
 
     best: dict[NodeId, NodeId] = {}
     best_score = (-1, -1)
@@ -499,14 +523,15 @@ def _exact_alignment(from_g: AmrGraph, to_g: AmrGraph) -> dict[NodeId, NodeId]:
         steps += 1
         if steps > _ALIGNMENT_BUDGET:
             raise _BudgetExhausted
-        if i == len(from_nodes):
+        if i == n:
             score = (len(assign), matched)
             if score > best_score:
                 best_score = score
                 best = dict(assign)
             return
-        # Upper bound: everything left could still match.
-        if (len(assign) + (len(from_nodes) - i), len(from_g.edges)) < best_score:
+        # No leaf below can beat the incumbent: only a strict improvement
+        # would replace it.
+        if (len(assign) + matchable[i], matched + undecided[i]) <= best_score:
             return
         v = from_nodes[i]
         for w in candidates[i]:
@@ -532,7 +557,11 @@ def graph_difference(from_g: AmrGraph, to_g: AmrGraph) -> GraphDelta:
     """Delta turning ``from_g`` into ``to_g``, minimal over relaxed
     maximum-common-subgraph alignments. The exact search runs up to
     ``EXACT_DIFFERENCE_CAP`` nodes and a fixed state budget; past either
-    limit the alignment is greedy and the delta is flagged approximate."""
+    limit the alignment is greedy and the delta is flagged approximate.
+    The search returns the first best alignment in its order and prunes
+    only branches that cannot beat the incumbent (see
+    :func:`_exact_alignment`), so within the budget the delta does not
+    depend on how tight its bound is."""
     approximate = (
         max(len(from_g.nodes), len(to_g.nodes)) > EXACT_DIFFERENCE_CAP
     )

@@ -6,7 +6,9 @@ conditions are restated from the definitions, not shared with
 The scan-based references further down are the quadratic traversals, the
 recursive Penman writer and the rescanning difference alignment that the
 indexed graph core and the incremental matcher replaced; the property
-tests require the production code to agree with them exactly.
+tests require the production code to agree with them exactly. The
+alignment reference also keeps the looser bound the search once pruned
+by, so that the tighter one can be checked against it.
 
 ``scan_parse_penman`` at the end is the Penman reader that the
 string-token reader replaced: it builds a ``(kind, text, offset)`` tuple
@@ -253,12 +255,25 @@ def scan_greedy_alignment(from_g: AmrGraph, to_g: AmrGraph) -> dict:
     return mapping
 
 
-def scan_exact_alignment(from_g: AmrGraph, to_g: AmrGraph) -> dict:
+def scan_exact_alignment(from_g: AmrGraph, to_g: AmrGraph, loose: bool = False) -> dict:
     """The difference alignment with every edge of ``from_g`` rescanned at
-    each complete assignment. Same node order, candidate order, bound and
-    step count as the production search, and the same budget (read from
-    ``amrinfer.graph`` at call time) and exception."""
+    each step. Same node order, candidate order and step count as the
+    production search, and the same budget (read from ``amrinfer.graph``
+    at call time) and exception.
+
+    Two references, differing only in when a branch is pruned:
+
+    * by default, the production bound, restated by scanning: a branch is
+      pruned when its mapped nodes plus the later nodes that have a
+      candidate, and its matched edges plus the edges not yet decided
+      (some endpoint not yet reached), score no better than the incumbent;
+    * with ``loose``, a looser bound, which assumes every later node
+      and every edge can still match and prunes only a branch that scores
+      strictly worse. It prunes only branches the default prunes too, so
+      it may exhaust a budget the default does not; wherever it finishes,
+      both return the first best leaf in search order."""
     from_nodes = list(from_g.nodes)
+    position = {v: i for i, v in enumerate(from_nodes)}
     to_keys = _scan_edge_keys(to_g)
     candidates = {
         v: [w for w, cw in to_g.nodes.items() if cw == from_g.nodes[v]]
@@ -269,6 +284,22 @@ def scan_exact_alignment(from_g: AmrGraph, to_g: AmrGraph) -> dict:
 
     def matched_edges(mapping: dict) -> int:
         return sum(1 for e in from_g.edges if _scan_key(mapping, e) in to_keys)
+
+    def reached_at(e) -> int:
+        """Position of the later endpoint of ``e``: until the search has
+        passed it, the edge is undecided."""
+        if isinstance(e.target, Constant):
+            return position[e.source]
+        return max(position[e.source], position[e.target])
+
+    def bound(i: int, assign: dict) -> tuple[int, int]:
+        if loose:
+            return (len(assign) + (len(from_nodes) - i), len(from_g.edges))
+        return (
+            len(assign) + sum(1 for v in from_nodes[i:] if candidates[v]),
+            matched_edges(assign)
+            + sum(1 for e in from_g.edges if reached_at(e) >= i),
+        )
 
     best: dict = {}
     best_score = (-1, -1)
@@ -287,7 +318,8 @@ def scan_exact_alignment(from_g: AmrGraph, to_g: AmrGraph) -> dict:
                 best_score = score
                 best = dict(assign)
             return
-        if (len(assign) + (len(from_nodes) - i), len(from_g.edges)) < best_score:
+        limit = bound(i, assign)
+        if limit < best_score or (not loose and limit == best_score):
             return
         v = from_nodes[i]
         for w in candidates[v]:

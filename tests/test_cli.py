@@ -109,6 +109,50 @@ def test_transform_emits_penman(scar_files, capsys):
     assert out.startswith("(") and "knee" in out
 
 
+def _with_metadata(paths: dict, tmp_path) -> dict:
+    """Copies of the graph files in the AMR release layout: ``# ::``
+    metadata lines first, and a blank line inside the graph."""
+    out = {}
+    for name, path in paths.items():
+        with open(path, encoding="utf-8") as handle:
+            amr = handle.read().strip()
+        head, rest = amr.split(" ", 1)
+        copy = tmp_path / f"meta_{name}.amr"
+        copy.write_text(
+            f"# ::id {name}\n  # ::snt a sentence\n{head}\n\n {rest}\n",
+            encoding="utf-8",
+        )
+        out[name] = str(copy)
+    return out
+
+
+@pytest.mark.parametrize("command", ["classify", "transform"])
+def test_graph_files_may_carry_metadata_lines(command, scar_files, tmp_path, capsys):
+    def run(paths):
+        args = ["--p1", paths["p1"], "--p2", paths["p2"]]
+        if command == "classify":
+            args += ["--c", paths["c"]]
+        else:
+            args += ["--type", "ARG-SUB"]
+        code = main([command, *args])
+        return code, capsys.readouterr().out
+
+    plain = run(scar_files)
+    assert plain[0] == 0
+    assert run(_with_metadata(scar_files, tmp_path)) == plain
+
+
+def test_metadata_lines_keep_error_offsets(tmp_path, capsys):
+    text = "# ::id a\n# ::snt x\n(r / rock\n\n  :mod (h / ))\n"
+    path = tmp_path / "bad.amr"
+    path.write_text(text, encoding="utf-8")
+    assert main(["classify", "--p1", str(path), "--p2", str(path), "--c", str(path)]) == 2
+    offset = text.index("h / )") + len("h / ")
+    assert capsys.readouterr().err == (
+        f"error: {path}: expected a concept, found ')' (at offset {offset})\n"
+    )
+
+
 def test_transform_unsupported_type_is_data_error(scar_files, capsys):
     code = main(
         ["transform", "--p1", scar_files["p1"], "--p2", scar_files["p2"],

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,9 @@ from amrinfer.graph import (
     graph_difference,
     relaxed_isomorphic,
 )
-from amrinfer.penman import parse_penman
+from amrinfer.penman import parse_penman, serialize_penman
+from amrinfer.taxonomy import InferenceType
+from amrinfer.transform import TransformRequest, transform
 
 from tests.generators import random_graph
 
@@ -135,3 +139,31 @@ def test_search_budget_falls_back_to_flagged_greedy():
     delta = graph_difference(a, b)
     assert delta.approximate
     assert exact_isomorphic(apply_delta(a, delta), b)
+
+
+def _thing_block(size: int, concept: str) -> AmrGraph:
+    roles = (":mod", ":domain", ":time", ":manner")
+    things = " ".join(
+        f"{roles[i % len(roles)]} (z{i} / thing)" for i in range(size)
+    )
+    return AMR(
+        f"(m / river :mod (h / wood) :domain (r / {concept}) {things})"
+    )
+
+
+@pytest.mark.parametrize("size", range(8, 16))
+def test_same_concept_block_with_one_swap_is_exact_and_fast(size):
+    # Every alignment of the interchangeable ``thing`` nodes scores the
+    # same, so only a bound that counts the edges already lost can prune
+    # them; a bound that assumes every edge may still match spends about
+    # 100 ms here and runs out of budget from nine children on.
+    a, b = _thing_block(size, "rock"), _thing_block(size, "sugar")
+    start = time.process_time()
+    delta = graph_difference(a, b)
+    elapsed = time.process_time() - start
+    assert not delta.approximate
+    assert [c.label for _, c in delta.removed_nodes] == ["rock"]
+    assert [c.label for _, c in delta.added_nodes] == ["sugar"]
+    assert elapsed < 0.05
+    got = transform(TransformRequest(a, b, InferenceType.ARG_PRED_GEN))
+    assert serialize_penman(got) == "(r / rock :domain (s / sugar))"

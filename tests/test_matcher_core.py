@@ -1,11 +1,14 @@
 """The incremental matcher core agrees exactly with the rescanning
 references: the same difference alignment (or an exhausted budget on both
 sides), the same greedy fallback and the same delta; and exact isomorphism
-agrees with networkx's multigraph matcher."""
+agrees with networkx's multigraph matcher. The alignment's bound is proved
+against the looser one it replaced: wherever the loose search finishes,
+the tight one finishes with the same alignment."""
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -86,6 +89,19 @@ def test_difference_matches_scan_reference_under_any_budget(pair, budget):
     # the same patched budget, so both must stop on the same inputs.
     with mock.patch.object(graph_module, "_ALIGNMENT_BUDGET", budget):
         _assert_same_difference(*pair)
+
+
+@given(_layered_pairs, st.sampled_from((30, 300, 3000)))
+@settings(max_examples=150, deadline=None)
+def test_tight_bound_returns_what_the_loose_bound_returns(pair, budget):
+    # The tight bound prunes only branches that cannot beat the incumbent,
+    # so it explores a subset of the loose search's states and keeps its
+    # first best leaf.
+    a, b = pair
+    with mock.patch.object(graph_module, "_ALIGNMENT_BUDGET", budget):
+        loose = _alignment(partial(scan_exact_alignment, loose=True), a, b)
+        if loose != "exhausted":
+            assert _alignment(scan_exact_alignment, a, b) == loose
 
 
 @given(
