@@ -16,7 +16,7 @@ text = """
 """
 g = parse_penman(text)
 print("root:", g.root)
-print("nodes:", {n: c.label for n, c in g.nodes.items()})
+print("nodes:", {n: c for n, c in g.nodes.items()})
 print("edges:")
 for e in g.edges:
     print("  ", e.source, e.role, e.target)

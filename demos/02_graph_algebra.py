@@ -40,8 +40,8 @@ after = AMR(
     " :ARG1-of (c / come-01 :ARG3 (s2 / sun)))"
 )
 delta = graph_difference(before, after)
-print("added concepts:", [c.label for _, c in delta.added_nodes])
-print("removed concepts:", [c.label for _, c in delta.removed_nodes])
+print("added concepts:", [c for _, c in delta.added_nodes])
+print("removed concepts:", [c for _, c in delta.removed_nodes])
 
 # Edits: substitution splices a subgraph in at a node; insertion attaches
 # a new argument; conjunction joins two graphs under a fresh 'and'.
@@ -52,5 +52,5 @@ print("substituted:", serialize_penman(enriched))
 inserted = insert_argument(before, "e", AMR("(c / come-01 :ARG3 (s / sun))"), ":ARG1-of")
 print("inserted:  ", serialize_penman(inserted))
 
-both = conjoin_graphs(a, AMR("(r / release-01 :ARG0 (r2 / respiration))"), "and")
+both = conjoin_graphs(a, AMR("(r / release-01 :ARG0 (r2 / respiration))"))
 print("conjoined: ", serialize_penman(both))

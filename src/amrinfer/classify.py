@@ -34,8 +34,10 @@ from .graph import (
     Constant,
     Edge,
     graph_difference,
+    is_predicate,
     relaxed_isomorphic,
     relaxed_subset,
+    stem,
 )
 from .taxonomy import InferenceType
 
@@ -98,8 +100,12 @@ class ClassificationResult:
     type: InferenceType
     pivot: int
     evidence: Evidence
-    frame_insertion: bool = False
     approximate: bool = False
+
+    @property
+    def frame_insertion(self) -> bool:
+        """True when the inserted material is headed by a predicate."""
+        return self.evidence.rule == "frame-insertion"
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +169,7 @@ def is_verb(word: str, g: AmrGraph) -> bool:
     the word under a small suffix-stripping rule set."""
     candidates = _lemma_candidates(word.lower())
     return any(
-        c.is_predicate and c.stem in candidates for c in g.nodes.values()
+        is_predicate(c) and stem(c) in candidates for c in g.nodes.values()
     )
 
 
@@ -221,7 +227,7 @@ def _attachment_site(
     for e in g_c.edges:
         if isinstance(e.target, Constant):
             continue
-        src = g_c.nodes[e.source].label
+        src = g_c.nodes[e.source]
         if src in ("and", "or"):
             continue
         if src in cother and src not in cx:
@@ -229,7 +235,7 @@ def _attachment_site(
         sub = g_c.subgraph_at(e.target)
         if not _originates_in(sub, g_other, g_x):
             continue
-        if e.is_argument or g_c.nodes[e.target].label in cx:
+        if e.is_argument or g_c.nodes[e.target] in cx:
             return e
     return None
 
@@ -245,8 +251,8 @@ def _conditional_match(
         ce = q.child_edge(q.root, ":condition")
         if ce is None:
             continue
-        antecedent_head = q.nodes[ce.target].label
-        consequent_head = q.nodes[q.root].label
+        antecedent_head = q.nodes[ce.target]
+        consequent_head = q.nodes[q.root]
         if antecedent_head in r.concepts() and consequent_head in g_c.concepts():
             return Evidence(
                 "conditional-frame",
@@ -268,13 +274,13 @@ def _domain_coordination(
     ey = g_other.child_edge(g_other.root, ":domain")
     if ex is None or ey is None:
         return False
-    x = g_x.nodes[ex.target].label
-    y = g_other.nodes[ey.target].label
+    x = g_x.nodes[ex.target]
+    y = g_other.nodes[ey.target]
     for n, c in g_c.nodes.items():
-        if c.label != "and":
+        if c != "and":
             continue
         coordinated = {
-            g_c.nodes[e.target].label
+            g_c.nodes[e.target]
             for e in g_c.outgoing(n)
             if e.role.startswith(":op") and not isinstance(e.target, Constant)
         }
@@ -288,11 +294,11 @@ def _domain_generalisation(
 ) -> Evidence | None:
     """A fresh ``root :domain y`` conclusion linking concepts drawn from the
     two different premises."""
-    root_label = g_c.nodes[g_c.root].label
+    root_label = g_c.nodes[g_c.root]
     for e in g_c.outgoing(g_c.root):
         if e.role != ":domain" or isinstance(e.target, Constant):
             continue
-        y_label = g_c.nodes[e.target].label
+        y_label = g_c.nodes[e.target]
         in_x = (root_label in g_x.concepts(), y_label in g_x.concepts())
         in_other = (root_label in g_other.concepts(), y_label in g_other.concepts())
         if (in_x[0] and in_other[1]) or (in_other[0] and in_x[1]):
@@ -320,15 +326,10 @@ def classify(t: EntailmentTriple) -> ClassificationResult:
         type_: InferenceType,
         evidence: Evidence,
         *,
-        frame_insertion: bool = False,
         approximate: bool = False,
     ) -> ClassificationResult:
         return ClassificationResult(
-            type=type_,
-            pivot=pivot,
-            evidence=evidence,
-            frame_insertion=frame_insertion,
-            approximate=approximate,
+            type=type_, pivot=pivot, evidence=evidence, approximate=approximate
         )
 
     # 1. No reasoning happened: the conclusion repeats a premise graph.
@@ -369,14 +370,13 @@ def classify(t: EntailmentTriple) -> ClassificationResult:
         target_concept = g_c.nodes[site.target]
         witnesses = {
             "edge": (site.source, site.role, site.target),
-            "target_concept": target_concept.label,
+            "target_concept": target_concept,
         }
-        if not target_concept.is_predicate:
-            other_root = g_other.nodes[g_other.root]
-            made_of = other_root.label == "make-01" and any(
+        if not is_predicate(target_concept):
+            made_of = g_other.nodes[g_other.root] == "make-01" and any(
                 e.is_argument
                 and not isinstance(e.target, Constant)
-                and g_other.nodes[e.target].label == target_concept.label
+                and g_other.nodes[e.target] == target_concept
                 for e in g_other.outgoing(g_other.root)
             )
             if made_of:
@@ -408,12 +408,10 @@ def classify(t: EntailmentTriple) -> ClassificationResult:
         head = delta.attachment_root(g_c)
         if head is None:
             continue
-        frame_insertion = head.is_predicate
-        rule = "frame-insertion" if frame_insertion else "argument-insertion"
+        rule = "frame-insertion" if is_predicate(head) else "argument-insertion"
         return result(
             InferenceType.ARG_INS,
-            Evidence(rule, {"inserted_head": head.label, "base": which}),
-            frame_insertion=frame_insertion,
+            Evidence(rule, {"inserted_head": head, "base": which}),
             approximate=delta.approximate,
         )
 

@@ -209,15 +209,14 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    # A file that is not UTF-8 is bad data, though UnicodeDecodeError is a
+    # ValueError, so it is caught first.
+    except (AmrError, OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return DATA_ERROR
     except ValueError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except AmrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 
 The graph model is deliberately small: variables map to concepts, edges are
 ordered ``(source, role, target)`` triples where a target is either another
-variable or a constant, and one variable is the root. Roles split into two
+variable or a constant, and one variable is the root. A concept is its
+label string, e.g. ``scar`` or ``contain-01``, as in the instance triples
+of the ``penman`` library (Goodman, ACL 2020 demos). Roles split into two
 classes that drive every comparison in the package:
 
 * argument roles (``:ARG0``..``:ARGn``, ``:op1``..``:opn``) must match
@@ -54,9 +56,14 @@ from .errors import (
 )
 
 _ARGUMENT_ROLE = re.compile(r":(?:ARG\d+|op\d+)\Z")
-_SENSE_SUFFIX = re.compile(r"\A(?P<stem>.+)-(?P<sense>\d{2})\Z")
+_SENSE_SUFFIX = re.compile(r"\A(?P<stem>.+)-\d{2}\Z")
 
 NodeId = str
+
+#: A node label, e.g. ``scar`` or ``contain-01``: a plain string. A
+#: trailing two-digit suffix marks a predicate sense; concepts without one
+#: are treated as nominal throughout the package.
+Concept = str
 
 
 def is_argument_role(role: str) -> bool:
@@ -68,32 +75,16 @@ def is_argument_role(role: str) -> bool:
     return _ARGUMENT_ROLE.match(role) is not None
 
 
-@dataclass(frozen=True)
-class Concept:
-    """A node label, e.g. ``scar`` or ``contain-01``.
+def is_predicate(concept: Concept) -> bool:
+    """True when the concept carries a sense suffix, as ``contain-01``."""
+    return _SENSE_SUFFIX.match(concept) is not None
 
-    A trailing two-digit suffix marks a predicate sense; concepts without
-    one are treated as nominal throughout the package.
-    """
 
-    label: str
-
-    @property
-    def sense(self) -> str | None:
-        m = _SENSE_SUFFIX.match(self.label)
-        return m.group("sense") if m else None
-
-    @property
-    def stem(self) -> str:
-        m = _SENSE_SUFFIX.match(self.label)
-        return m.group("stem") if m else self.label
-
-    @property
-    def is_predicate(self) -> bool:
-        return self.sense is not None
-
-    def __str__(self) -> str:
-        return self.label
+def stem(concept: Concept) -> str:
+    """The concept without its sense suffix: ``contain`` for
+    ``contain-01``; a nominal concept is its own stem."""
+    m = _SENSE_SUFFIX.match(concept)
+    return m.group("stem") if m else concept
 
 
 @dataclass(frozen=True)
@@ -148,7 +139,8 @@ class _lazy:
 
 @dataclass(frozen=True)
 class AmrGraph:
-    """Immutable rooted graph. Construction validates well-formedness:
+    """Immutable rooted graph. ``nodes`` maps each variable to its concept,
+    a plain label string. Construction validates well-formedness:
 
     * the root is a known node and every edge endpoint is known,
     * no duplicate ``(source, role, target)`` edge, and
@@ -276,17 +268,14 @@ class AmrGraph:
     # -- match index: each part built on first use, then kept --------------
 
     @_lazy
-    def _buckets(self) -> dict[str, list[NodeId]]:
-        """Each concept label's nodes, in stored node order. Keyed by the
-        label string, whose hash and equality are cheaper than the
-        dataclass's."""
-        buckets: dict[str, list[NodeId]] = {}
+    def _buckets(self) -> dict[Concept, list[NodeId]]:
+        """Each concept's nodes, in stored node order."""
+        buckets: dict[Concept, list[NodeId]] = {}
         for n, c in self.nodes.items():
-            label = c.label
-            if label in buckets:
-                buckets[label].append(n)
+            if c in buckets:
+                buckets[c].append(n)
             else:
-                buckets[label] = [n]
+                buckets[c] = [n]
         return buckets
 
     @_lazy
@@ -343,14 +332,14 @@ def _embed(
     labels = a.nodes
     candidates: dict[NodeId, Sequence[NodeId]] = {}
     if root is not None:
-        if labels[a.root].label != b.nodes[root].label:
+        if labels[a.root] != b.nodes[root]:
             return False
         candidates[a.root] = (root,)
     for s, _, t in edges:
         if s not in candidates:
-            candidates[s] = have[labels[s].label]
+            candidates[s] = have[labels[s]]
         if not isinstance(t, Constant) and t not in candidates:
-            candidates[t] = have[labels[t].label]
+            candidates[t] = have[labels[t]]
     order = sorted(candidates, key=lambda v: len(candidates[v]))
     if not order:
         return True
@@ -467,10 +456,10 @@ def _greedy_alignment(from_g: AmrGraph, to_g: AmrGraph) -> dict[NodeId, NodeId]:
     """Concept-anchored fallback for graphs past the exact-search cap: each
     ``from`` node takes the first untaken ``to`` node of its concept, in
     stored order."""
-    untaken = {label: iter(ws) for label, ws in to_g._buckets.items()}
+    untaken = {c: iter(ws) for c, ws in to_g._buckets.items()}
     mapping: dict[NodeId, NodeId] = {}
     for v, c in from_g.nodes.items():
-        w = next(untaken[c.label], None) if c.label in untaken else None
+        w = next(untaken[c], None) if c in untaken else None
         if w is not None:
             mapping[v] = w
     return mapping
@@ -496,7 +485,7 @@ def _exact_alignment(from_g: AmrGraph, to_g: AmrGraph) -> dict[NodeId, NodeId]:
     when the search state count exceeds the budget."""
     from_nodes = list(from_g.nodes)
     buckets, to_keys = to_g._buckets, to_g._edge_set
-    candidates = [buckets.get(c.label, ()) for c in from_g.nodes.values()]
+    candidates = [buckets.get(c, ()) for c in from_g.nodes.values()]
     filed = _file_edges(from_nodes, from_g.edges)
     perfect = (len(from_nodes), len(from_g.edges))
     # Suffix counts for the bound: ``undecided[i]`` edges are filed at
@@ -766,21 +755,13 @@ def insert_argument(
     return AmrGraph(root=g.root, nodes=nodes, edges=tuple(edges))
 
 
-def conjoin_graphs(
-    a: AmrGraph, b: AmrGraph, connective: str = "and"
-) -> AmrGraph:
-    """Join two graphs under a fresh ``and``/``or`` node via ``:op1``,
-    ``:op2``."""
-    if connective not in ("and", "or"):
-        raise GraphInvariantError(
-            f"connective must be 'and' or 'or', got {connective!r}"
-        )
-    taken: set[NodeId] = set()
-    root = _fresh_name(connective[0], taken)
-    taken.add(root)
+def conjoin_graphs(a: AmrGraph, b: AmrGraph) -> AmrGraph:
+    """Join two graphs under a fresh ``and`` node via ``:op1``, ``:op2``."""
+    root = "a"
+    taken = {root}
     a_nodes, a_edges, a_ren = _import_nodes(a, taken)
     b_nodes, b_edges, b_ren = _import_nodes(b, taken)
-    nodes: dict[NodeId, Concept] = {root: Concept(connective)}
+    nodes: dict[NodeId, Concept] = {root: "and"}
     nodes.update(a_nodes)
     nodes.update(b_nodes)
     edges = [

@@ -108,7 +108,7 @@ def _parse(text: str, origin: str | None) -> AmrGraph:
                 and _IDENTIFIER.match(var)
                 and var not in nodes
             ):
-                nodes[var] = Concept(concept)
+                nodes[var] = concept
                 return var
         take(i, "lparen", "'('")
         var = take(i + 1, "symbol", "a variable name")
@@ -118,7 +118,7 @@ def _parse(text: str, origin: str | None) -> AmrGraph:
         concept = take(i + 3, "symbol", "a concept")
         if var in nodes:
             raise error(f"duplicate variable definition {var!r}", i + 1)
-        nodes[var] = Concept(concept)
+        nodes[var] = concept
         return var
 
     edges: list[Edge | None] = []
@@ -201,7 +201,7 @@ def serialize_penman(g: AmrGraph) -> str:
     Deterministic: identical graphs yield byte-identical output, and
     ``parse_penman(serialize_penman(g))`` is exactly isomorphic to ``g``.
     """
-    parts = [f"({g.root} / {g.nodes[g.root].label}"]
+    parts = [f"({g.root} / {g.nodes[g.root]}"]
     visited = {g.root}
     # Open instances, each with the iterator over its remaining out-edges.
     stack = [iter(g.outgoing(g.root))]
@@ -214,7 +214,7 @@ def serialize_penman(g: AmrGraph) -> str:
                 parts.append(f" {e.role} {target}")
             else:
                 visited.add(target)
-                parts.append(f" {e.role} ({target} / {g.nodes[target].label}")
+                parts.append(f" {e.role} ({target} / {g.nodes[target]}")
                 stack.append(iter(g.outgoing(target)))
                 break
         else:

@@ -102,15 +102,20 @@ def load_corpus(
     path: str, *, strict: bool = False
 ) -> tuple[list[CorpusRecord], list[RecordError]]:
     """Read a record file. Strict mode raises the first
-    :class:`RecordError`; lenient mode skips bad lines and reports them."""
+    :class:`RecordError`; lenient mode skips bad lines and reports them.
+    A line that is not UTF-8 is a bad line like any other."""
     records: list[CorpusRecord] = []
     errors: list[RecordError] = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
+    # Undecodable bytes are read as surrogate escapes, so they split into
+    # lines as any text does; decoding a line's bytes again, strictly,
+    # raises on the first of them.
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
                 record = record_from_json(line)
                 if record.id in seen_ids:
                     raise ValueError(f"duplicate id {record.id!r}")

@@ -16,6 +16,7 @@ exists for it); see :data:`HEURISTIC_TYPES`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -32,8 +33,8 @@ from .graph import (
     NodeId,
     carve,
     conjoin_graphs,
-    graph_difference,
     insert_argument,
+    is_predicate,
     relabel_node,
     substitute_subgraph,
 )
@@ -71,9 +72,10 @@ def bridge_candidates(
             continue
         size1 = len(p1.closure(n1))
         for i2, n2, size2 in matches:
-            pairs.append((size1 + size2, c1.label, i1, i2, n1, n2, c1))
-    pairs.sort(key=lambda p: (-p[0], p[1], p[2], p[3]))
-    return [(n1, n2, c) for _, _, _, _, n1, n2, c in pairs]
+            pairs.append((-(size1 + size2), c1, i1, i2, n1, n2))
+    # Positions are unique, so the sort never compares node ids.
+    pairs.sort()
+    return [(n1, n2, c) for _, c, _, _, n1, n2 in pairs]
 
 
 def transform(req: TransformRequest) -> AmrGraph:
@@ -109,7 +111,7 @@ def _arg_sub(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
             candidates.append(
                 (
                     -len(replacement.nodes),
-                    general.label,
+                    general,
                     position,
                     (p1_node, p2_node),
                     host,
@@ -135,7 +137,7 @@ def _pred_sub(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
     for link, host in ((p1, p2), (p2, p1)):
         root = link.nodes[link.root]
         source = target = None
-        if root.label == "mean-01":
+        if root == "mean-01":
             args = {
                 e.role: e.target
                 for e in link.outgoing(link.root)
@@ -144,9 +146,9 @@ def _pred_sub(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
             if ":ARG1" in args and ":ARG2" in args:
                 source = link.nodes[args[":ARG1"]]
                 target = link.nodes[args[":ARG2"]]
-        elif root.is_predicate:
+        elif is_predicate(root):
             domain = link.child_edge(link.root, ":domain")
-            if domain is not None and link.nodes[domain.target].is_predicate:
+            if domain is not None and is_predicate(link.nodes[domain.target]):
                 source, target = link.nodes[domain.target], root
         if source is None or target is None or source == target:
             continue
@@ -166,7 +168,7 @@ def _frame_sub(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
         for host, site, donor in ((p1, n1, p2), (p2, n2, p1)):
             if site == host.root:
                 continue
-            if not donor.nodes[donor.root].is_predicate:
+            if not is_predicate(donor.nodes[donor.root]):
                 continue
             return substitute_subgraph(host, site, donor)
     raise NoBridgeError(
@@ -179,7 +181,7 @@ def _made_of(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
     # One premise is '(make-01 :ARG1 entity :ARG2 material)'; the entity
     # replaces the material term inside the property premise.
     for link, host in ((p1, p2), (p2, p1)):
-        if link.nodes[link.root].label != "make-01":
+        if link.nodes[link.root] != "make-01":
             continue
         args = {
             e.role: e.target
@@ -189,11 +191,9 @@ def _made_of(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
         if ":ARG1" not in args or ":ARG2" not in args:
             continue
         entity = link.subgraph_at(args[":ARG1"])
-        material_labels = {
-            link.nodes[n].label for n in link.closure(args[":ARG2"])
-        }
+        material = {link.nodes[n] for n in link.closure(args[":ARG2"])}
         for site, c in host.nodes.items():
-            if site != host.root and c.label in material_labels:
+            if site != host.root and c in material:
                 return substitute_subgraph(host, site, entity)
     raise NoBridgeError(
         "property inheritance needs a make-01 premise whose material term "
@@ -236,9 +236,9 @@ def _arg_ins(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
         ):
             if donor_node not in donor.nodes or site not in host.nodes:
                 continue
-            if donor.nodes[donor_node].label in host.concepts():
+            if donor.nodes[donor_node] in host.concepts():
                 continue
-            if host.nodes[site].label not in donor.concepts():
+            if host.nodes[site] not in donor.concepts():
                 continue
             return insert_argument(
                 host, site, donor.subgraph_at(donor_node), ":mod"
@@ -269,7 +269,7 @@ def _arg_ins(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
 
 
 def _frame_conj(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
-    return conjoin_graphs(p1, p2, "and")
+    return conjoin_graphs(p1, p2)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +321,9 @@ def _bind_placeholder(
     """Material the placeholder stands for, read off the fact premise:
     a same-concept node when one exists, otherwise the :domain subject of
     the anchor node (or of the fact's root)."""
-    label = rule_graph.nodes[placeholder].label
+    concept = rule_graph.nodes[placeholder]
     for n, c in fact.nodes.items():
-        if c.label == label:
+        if c == concept:
             return fact.subgraph_at(n)
     for source in (anchor, fact.root):
         domain = fact.child_edge(source, ":domain")
@@ -338,10 +338,10 @@ def _cond_frame(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
         if parts is None:
             continue
         cond, consequent, placeholders = parts
-        antecedent_head = rule_graph.nodes[cond.target].label
+        antecedent_head = rule_graph.nodes[cond.target]
         anchor = None
         for n, c in fact.nodes.items():
-            if c.label == antecedent_head:
+            if c == antecedent_head:
                 anchor = n
                 break
         if anchor is None:
@@ -362,19 +362,24 @@ def _cond_frame(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
 def _variable_for(concept: Concept, fallback: str) -> NodeId:
     """The concept's initial when it is an ASCII letter (a valid Penman
     variable), ``fallback`` otherwise: ``3d-printer`` gets ``fallback``."""
-    first = concept.label[0]
+    first = concept[0]
     return first if first.isascii() and first.isalpha() else fallback
 
 
 def _generalise(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
-    delta = graph_difference(p1, p2)
-    if len(delta.removed_nodes) != 1 or len(delta.added_nodes) != 1:
+    # Counting is exact: nodes align only to nodes of the same concept, and
+    # edges never decide which nodes may align, so a maximum alignment of
+    # p1 into p2, and the greedy one used past the search's cap or budget,
+    # maps min(count in p1, count in p2) nodes of every concept. Whatever
+    # the alignment, the concepts left over are the multiset difference.
+    c1, c2 = Counter(p1.nodes.values()), Counter(p2.nodes.values())
+    removed, added = c1 - c2, c2 - c1
+    if removed.total() != 1 or added.total() != 1:
         raise NotSingleDifferenceError(
             "generalisation needs premises differing by exactly one concept, "
-            f"got {len(delta.removed_nodes)} vs {len(delta.added_nodes)}"
+            f"got {removed.total()} vs {added.total()}"
         )
-    general = delta.removed_nodes[0][1]
-    specific = delta.added_nodes[0][1]
+    (general,), (specific,) = removed, added
     g_id = _variable_for(general, "g")
     s_id = _variable_for(specific, "s")
     if s_id == g_id:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 
 from amrinfer.classify import Statement
-from amrinfer.graph import AmrGraph, Concept, Constant, Edge
+from amrinfer.graph import AmrGraph, Concept, Constant, Edge, stem
 from amrinfer.pipeline import CorpusRecord
 from amrinfer.penman import serialize_penman
 from amrinfer.taxonomy import InferenceType
@@ -152,7 +152,7 @@ def linearize(g: AmrGraph) -> str:
 
     def visit(node: str) -> None:
         visited.add(node)
-        order.append(g.nodes[node].stem)
+        order.append(stem(g.nodes[node]))
         for e in g.edges:
             if e.source == node and not isinstance(e.target, Constant):
                 if e.target not in visited:

@@ -20,7 +20,11 @@ import re
 from itertools import chain, permutations, product
 
 from amrinfer import graph as graph_module
-from amrinfer.errors import DanglingReferenceError, PenmanSyntaxError
+from amrinfer.errors import (
+    DanglingReferenceError,
+    NotSingleDifferenceError,
+    PenmanSyntaxError,
+)
 from amrinfer.graph import (
     AmrGraph,
     Concept,
@@ -30,12 +34,13 @@ from amrinfer.graph import (
     NodeId,
     is_argument_role,
 )
+from amrinfer.transform import _variable_for
 
 
 def _groups(g: AmrGraph) -> dict:
     by_concept: dict = {}
     for n, c in g.nodes.items():
-        by_concept.setdefault((c.label,), []).append(n)
+        by_concept.setdefault((c,), []).append(n)
     return by_concept
 
 
@@ -172,7 +177,7 @@ def scan_serialize(g: AmrGraph) -> str:
 
     def emit(node) -> str:
         visited.add(node)
-        parts = [f"({node} / {g.nodes[node].label}"]
+        parts = [f"({node} / {g.nodes[node]}"]
         for e in g.edges:
             if e.source == node:
                 parts.append(f"{e.role} {render_target(e.target)}")
@@ -369,6 +374,29 @@ def scan_graph_difference(from_g: AmrGraph, to_g: AmrGraph) -> GraphDelta:
         added_edges=tuple(e for e in to_g.edges if _scan_key(identity, e) not in matched),
         to_root=to_g.root,
         approximate=approximate,
+    )
+
+
+def scan_generalise(p1: AmrGraph, p2: AmrGraph) -> AmrGraph:
+    """The ARG/PRED-GEN derivation that label counting replaced: the one
+    concept left unaligned on each side of ``graph_difference``, linked as
+    ``(general :domain specific)``."""
+    delta = graph_module.graph_difference(p1, p2)
+    if len(delta.removed_nodes) != 1 or len(delta.added_nodes) != 1:
+        raise NotSingleDifferenceError(
+            "generalisation needs premises differing by exactly one concept, "
+            f"got {len(delta.removed_nodes)} vs {len(delta.added_nodes)}"
+        )
+    general = delta.removed_nodes[0][1]
+    specific = delta.added_nodes[0][1]
+    g_id = _variable_for(general, "g")
+    s_id = _variable_for(specific, "s")
+    if s_id == g_id:
+        s_id = s_id + "2"
+    return AmrGraph(
+        root=g_id,
+        nodes={g_id: general, s_id: specific},
+        edges=(Edge(g_id, ":domain", s_id),),
     )
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from amrinfer.classify import classify
 from amrinfer.cli import main
+from amrinfer.errors import RecordError
 from amrinfer.graph import EXACT_DIFFERENCE_CAP
 from amrinfer.pipeline import load_corpus, sample_corpus_path, save_records
 from amrinfer.taxonomy import InferenceType
@@ -270,3 +271,73 @@ def test_stats_reads_stored_types_without_classifying(tmp_path, capsys, monkeypa
     monkeypatch.setattr("amrinfer.pipeline.classify", refuse)
     assert main(["stats", "--input", out, "--format", "json"]) == 0
     assert capsys.readouterr().out == expected
+
+
+# A byte that UTF-8 never starts a character with.
+_NOT_UTF8 = b"\xff"
+_DECODE_ERROR = "'utf-8' codec can't decode byte 0xff"
+
+
+@pytest.mark.parametrize("command", ["parse", "classify", "transform"])
+def test_non_utf8_graph_file_is_data_error(command, scar_files, tmp_path, capsys):
+    bad = tmp_path / "bad.amr"
+    bad.write_bytes(b"(r / rock" + _NOT_UTF8 + b")\n")
+    args = {
+        "parse": [str(bad)],
+        "classify": ["--p1", str(bad), "--p2", scar_files["p2"], "--c", scar_files["c"]],
+        "transform": ["--p1", str(bad), "--p2", scar_files["p2"], "--type", "ARG-SUB"],
+    }[command]
+    assert main([command, *args]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {_DECODE_ERROR}")
+
+
+@pytest.fixture()
+def non_utf8_records(tmp_path):
+    """Four lines: a record, one with a byte that is not UTF-8, a record and
+    a line that is not JSON."""
+    first, second, third = (r.to_json().encode() for r in sample_records()[:3])
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(
+        b"\n".join([first, second.replace(b'"', _NOT_UTF8, 1), third, b"{"]) + b"\n"
+    )
+    return str(path)
+
+
+def test_load_corpus_reports_a_non_utf8_line_and_keeps_the_others(non_utf8_records):
+    records, errors = load_corpus(non_utf8_records)
+    assert [r.id for r in records] == [sample_records()[i].id for i in (0, 2)]
+    assert [e.line for e in errors] == [2, 4]
+    assert isinstance(errors[0].cause, UnicodeDecodeError)
+    assert str(errors[0]).startswith(f"line 2: {_DECODE_ERROR}")
+
+
+def test_load_corpus_strict_raises_at_a_non_utf8_line(non_utf8_records):
+    with pytest.raises(RecordError) as exc:
+        load_corpus(non_utf8_records, strict=True)
+    assert exc.value.line == 2
+    assert isinstance(exc.value.cause, UnicodeDecodeError)
+
+
+@pytest.mark.parametrize("command", ["annotate", "stats", "emit-prompts"])
+def test_record_commands_skip_a_non_utf8_line(command, non_utf8_records, tmp_path, capsys):
+    out = str(tmp_path / "out.jsonl")
+    args = {
+        "annotate": ["--output", out],
+        "stats": ["--format", "json"],
+        "emit-prompts": ["--mode", "ep", "--output", out],
+    }[command]
+    assert main([command, "--input", non_utf8_records, *args]) == 0
+    captured = capsys.readouterr()
+    assert f"skipped line 2: {_DECODE_ERROR}" in captured.err
+    if command == "stats":
+        assert json.loads(captured.out)["total"] == 2
+    else:
+        with open(out, encoding="utf-8") as handle:
+            assert len(handle.readlines()) == 2
+
+
+def test_annotate_strict_stops_at_a_non_utf8_line(non_utf8_records, tmp_path, capsys):
+    out = str(tmp_path / "out.jsonl")
+    args = ["--input", non_utf8_records, "--output", out, "--strict"]
+    assert main(["annotate", *args]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line 2: {_DECODE_ERROR}")

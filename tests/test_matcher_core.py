@@ -132,7 +132,7 @@ def _to_networkx(nx, g: AmrGraph):
     and every constant a labelled leaf of its own."""
     out = nx.MultiDiGraph()
     for n, c in g.nodes.items():
-        out.add_node(n, label=("variable", c.label, n == g.root))
+        out.add_node(n, label=("variable", c, n == g.root))
     for i, e in enumerate(g.edges):
         target = e.target
         if isinstance(target, Constant):

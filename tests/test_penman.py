@@ -21,7 +21,7 @@ class TestParse:
     def test_single_node(self):
         g = parse_penman("(s / scar)")
         assert g.root == "s"
-        assert g.nodes["s"].label == "scar"
+        assert g.nodes["s"] == "scar"
         assert g.edges == ()
 
     def test_three_nodes_two_edges(self):

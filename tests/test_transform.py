@@ -41,7 +41,7 @@ class TestBridgeCandidates:
 
     def test_scar_pair_contains_scar_bridge(self):
         p1, p2, _ = _graphs("t01")
-        concepts = {c.label for _, _, c in bridge_candidates(p1, p2)}
+        concepts = {c for _, _, c in bridge_candidates(p1, p2)}
         assert "scar" in concepts
 
     def test_identical_graphs_pair_every_node(self):
@@ -55,7 +55,7 @@ class TestBridgeCandidates:
         p1 = AMR("(c / cover-01 :ARG0 (w / water :mod (d / deep)) :ARG1 (r / rock))")
         p2 = AMR("(n / need-01 :ARG0 (p / plant) :ARG1 (w / water :mod (d / deep)))")
         first = bridge_candidates(p1, p2)[0]
-        assert first[2].label == "water"
+        assert first[2] == "water"
 
 
 class TestPerType:
@@ -75,7 +75,7 @@ class TestPerType:
         got = transform(TransformRequest(p1, p2, InferenceType.ARG_PRED_GEN))
         assert relaxed_isomorphic(got, want)
         # The premise-1 term is the general one: it takes the root.
-        assert got.nodes[got.root].label == "rock"
+        assert got.nodes[got.root] == "rock"
 
     def test_arg_ins_solar(self):
         p1, p2, want = _graphs("t05")
@@ -92,7 +92,7 @@ class TestPerType:
         got = transform(TransformRequest(p1, p2, InferenceType.COND_FRAME))
         # The consequent head survives, bound to the fact's subject; the
         # antecedent material does not leak into the conclusion.
-        assert got.nodes[got.root].label == "fossil"
+        assert got.nodes[got.root] == "fossil"
         assert got.has_concept("wood")
         assert not got.has_concept("renewable")
         assert not got.has_concept("resource")
