@@ -4,17 +4,21 @@ Subcommands: ``parse``, ``classify``, ``transform``, ``annotate``,
 ``stats``, ``emit-prompts``. Exit status is 0 on success, 1 on usage
 errors and 2 on data errors; diagnostics go to stderr, data to stdout or
 the requested output file.
+
+The argument parser is built once per process, on the first call of
+:func:`main`, and reused by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .classify import EntailmentTriple, Statement, classify
 from .errors import AmrError
-from .penman import parse_penman, read_penman_file, serialize_penman
+from .penman import parse_penman, read_penman_file, read_penman_text, serialize_penman
 from .pipeline import (
     InjectionMode,
     annotate_corpus,
@@ -45,8 +49,7 @@ def _read_graph(path: str):
     """The one graph of a Penman file. Lines that ``iter_penman`` skips,
     those whose first non-blank character is ``#``, are blanked, so error
     offsets still index the file."""
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines(keepends=True)
+    lines = read_penman_text(path).splitlines(keepends=True)
     for i, line in enumerate(lines):
         if line.lstrip().startswith("#"):
             body = line.rstrip("\r\n")
@@ -151,7 +154,10 @@ def _cmd_emit_prompts(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call: ``parse_args``
+    keeps no state between calls, so it is shared, not rebuilt."""
     parser = _Parser(
         prog="amrinfer",
         description="Symbolic inference types over AMR entailment triples.",
@@ -209,9 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    # A file that is not UTF-8 is bad data, though UnicodeDecodeError is a
-    # ValueError, so it is caught first.
-    except (AmrError, OSError, UnicodeDecodeError) as exc:
+    except (AmrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except ValueError as exc:

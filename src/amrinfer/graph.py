@@ -162,11 +162,13 @@ class AmrGraph:
 
     Construction indexes each node's out-edges once, so construction,
     validation, :meth:`outgoing`, :meth:`closure` and :meth:`subgraph_at`
-    run in time linear in the nodes and edges they touch. The match index
-    (concept buckets, edge set and argument edges) is built lazily, each
-    part on first use, and then kept, so parsing and loading pay nothing
-    for it. Neither index is a field, so equality, ``repr`` and
-    ``dataclasses.replace`` see only the value.
+    run in time linear in the nodes and edges they touch. The Penman
+    reader fills that out-edge index as it reads the edges and hands it to
+    :meth:`_built`, so a parsed graph is not scanned again to build it.
+    The match index (concept buckets, edge set and argument edges) is
+    built lazily, each part on first use, and then kept, so parsing and
+    loading pay nothing for it. Neither index is a field, so equality,
+    ``repr`` and ``dataclasses.replace`` see only the value.
     """
 
     root: NodeId
@@ -181,13 +183,21 @@ class AmrGraph:
 
     @classmethod
     def _built(
-        cls, root: NodeId, nodes: dict[NodeId, Concept], edges: tuple[Edge, ...]
+        cls,
+        root: NodeId,
+        nodes: dict[NodeId, Concept],
+        edges: tuple[Edge, ...],
+        out: dict[NodeId, list[int]] | None = None,
     ) -> "AmrGraph":
         """A graph whose maker has proved every invariant that
-        :meth:`validate` checks; indexed as the constructor does, not
-        validated. Only the Penman reader and :meth:`subgraph_at` call it."""
+        :meth:`validate` checks; not validated. ``out`` is the out-edge
+        index when the maker filled it, as the Penman reader does;
+        otherwise it is built as the constructor builds it. Only the
+        Penman reader and :meth:`subgraph_at` call it."""
         g = object.__new__(cls)
-        vars(g).update(root=root, nodes=nodes, edges=edges, _out=_out_index(edges))
+        if out is None:
+            out = _out_index(edges)
+        vars(g).update(root=root, nodes=nodes, edges=edges, _out=out)
         return g
 
     def validate(self) -> None:

@@ -15,14 +15,25 @@ Reading and writing are single passes in time linear in the text and the
 graph. Both keep the open instances on an explicit stack rather than the
 call stack, so nesting depth has no limit.
 
-The reader works on token strings, taken by one ``findall`` over a single
+A well-formed document is read as the root's ``( var / concept`` and then
+one pass of a single pattern whose matches are whole steps: a role with
+the ``( var / concept`` it opens or with its constant or reference
+target, and a ``)``. The pattern ends each role and reference where the
+token grammar below ends it, so no step reads the text as other tokens
+than the token reader would. Each edge is complete at its step, so the
+out-edge index is filled as the edges are read.
+
+At the first step that does not fit, the text goes to the token reader,
+which is kept to name the error; it also reads the few valid texts the
+pattern leaves to it, such as a concept that starts with an unclosed
+``"``. It works on token strings, taken by one ``findall`` over a single
 token pattern. A token's kind follows from its first character; a
 ``"``-prefixed token is a string only when the whole of it is one closed
 string. Offsets are not kept: an error finds its token's offset by
 scanning the text again with the same pattern. A lone ``:`` is reported
-as an unexpected character before any other error. The reader proves
-every invariant that :meth:`AmrGraph.validate` checks, so it builds its
-graph without validating it again.
+as an unexpected character before any other error. Both readers prove
+every invariant that :meth:`AmrGraph.validate` checks, so they build
+their graphs without validating them again.
 """
 
 from __future__ import annotations
@@ -41,11 +52,35 @@ _STRING = r'"(?:[^"\\]|\\.)*"'
 _TOKEN = re.compile(rf"[()/]|:[^\s()/]+|{_STRING}|[^\s()/:]+|\S")
 _CLOSED_STRING = re.compile(_STRING)
 _KINDS = {"(": "lparen", ")": "rparen", "/": "slash", ":": "role"}
-# First characters of the tokens that are not plain symbols.
-_NOT_PLAIN = '()/:"'
 
-_IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9-]*\Z")
+_VARIABLE = r"[A-Za-z][A-Za-z0-9-]*"
+_IDENTIFIER = re.compile(rf"{_VARIABLE}\Z")
 _NUMBER = re.compile(r"[+-]?\d+(?:\.\d+)?\Z")
+
+# A symbol token that does not start with ``"``.
+_PLAIN = r'[^\s()/:"][^\s()/:]*'
+# The root's ``( var / concept``.
+_ROOT = re.compile(rf"\s*\(\s*({_VARIABLE})\s*/\s*({_PLAIN})")
+# One step of a well-formed document per match, as the groups (close,
+# role, var, concept, string, reference, constant): a ``)``, or a role
+# with the ``( var / concept`` it opens or with its leaf target. Any other
+# character is a step of empty groups. The lookaheads end a role and a
+# reference where their tokens end, so no match splits the text into
+# other tokens than ``_TOKEN`` does.
+_STEP = re.compile(
+    rf"""\s*(?:
+        (\))
+      | (:[^\s()/]+)(?![^\s()/])\s*
+        (?:
+            \(\s*({_VARIABLE})\s*/\s*({_PLAIN})
+          | ({_STRING})
+          | ({_VARIABLE})(?![^\s()/:])
+          | ({_PLAIN})
+        )
+      | \S
+    )""",
+    re.VERBOSE,
+)
 
 
 def _kind(token: str) -> str:
@@ -96,20 +131,8 @@ def _parse(text: str, origin: str | None) -> AmrGraph:
     nodes: dict[NodeId, Concept] = {}
 
     def open_instance(i: int) -> NodeId:
-        """Read the four tokens ``( var / concept`` at ``i``. A well-formed
-        instance is accepted at once; otherwise the tokens are taken one
-        by one, so that the first to fail names the error."""
-        if i + 3 < count:
-            paren, var, slash, concept = tokens[i : i + 4]
-            if (
-                paren == "("
-                and slash == "/"
-                and concept[0] not in _NOT_PLAIN
-                and _IDENTIFIER.match(var)
-                and var not in nodes
-            ):
-                nodes[var] = concept
-                return var
+        """Read the four tokens ``( var / concept`` at ``i``, one by one,
+        so that the first to fail names the error."""
         take(i, "lparen", "'('")
         var = take(i + 1, "symbol", "a variable name")
         if not _IDENTIFIER.match(var):
@@ -182,6 +205,68 @@ def _parse(text: str, origin: str | None) -> AmrGraph:
     return AmrGraph._built(var, nodes, tuple(edges))
 
 
+def _read(text: str) -> AmrGraph | None:
+    """The graph of a well-formed document, read as the root's match and
+    one ``findall`` of whole steps, or None at the first step that does
+    not fit one; the token reader then names the error. The instances
+    open around the current one wait on a stack. Each edge is complete at
+    its own step, since a role that opens an instance names the child's
+    variable there, so edges and the out-edge index are filled in the
+    document order of the roles, as the token reader fills them. A
+    duplicate variable, a duplicate edge, a reference that is never
+    defined and any input after the root's ``)`` hand over."""
+    root = _ROOT.match(text)
+    if root is None:
+        return None
+    var, concept = root.groups()
+    steps = _STEP.findall(text, root.end())
+    # The last step must close the root; it is the only step left
+    # unread, so the stack must be empty before it.
+    if not steps or not steps.pop()[0]:
+        return None
+    nodes: dict[NodeId, Concept] = {var: concept}
+    edges: list[Edge] = []
+    out: dict[NodeId, list[int]] = {}
+    references: list[NodeId] = []
+    stack: list[NodeId] = []
+    for close, role, child, concept, string, ref, const in steps:
+        if close:
+            if not stack:
+                return None
+            var = stack.pop()
+            continue
+        if not role:
+            return None
+        if child:
+            if child in nodes:
+                return None
+            nodes[child] = concept
+            target = child
+        elif string:
+            target = Constant(string[1:-1], is_string=True)
+        elif ref:
+            references.append(ref)
+            target = ref
+        else:
+            target = Constant(const)
+        positions = out.get(var)
+        if positions is None:
+            out[var] = [len(edges)]
+        else:
+            positions.append(len(edges))
+        edges.append(tuple.__new__(Edge, (var, role, target)))
+        if child:
+            stack.append(var)
+            var = child
+    if (
+        stack
+        or len(set(edges)) != len(edges)
+        or references and not nodes.keys() >= set(references)
+    ):
+        return None
+    return AmrGraph._built(var, nodes, tuple(edges), out)
+
+
 def parse_penman(text: str, origin: str | None = None) -> AmrGraph:
     """Parse one Penman expression into a graph.
 
@@ -192,7 +277,8 @@ def parse_penman(text: str, origin: str | None = None) -> AmrGraph:
     """
     if not text.strip():
         raise PenmanSyntaxError("empty input", 0, origin)
-    return _parse(text, origin)
+    g = _read(text)
+    return _parse(text, origin) if g is None else g
 
 
 def serialize_penman(g: AmrGraph) -> str:
@@ -249,6 +335,25 @@ def iter_penman(text: str, origin: str | None = None) -> list[AmrGraph]:
     return graphs
 
 
+def read_penman_text(path: str) -> str:
+    r"""The text of a UTF-8 file, with ``\r\n`` and ``\r`` read as ``\n``,
+    as text mode reads them. A byte that is not UTF-8 is a
+    :class:`PenmanSyntaxError` that names the path and the line of the
+    first such byte, at the character offset where decoding stopped."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = _newlines(data[: exc.start].decode("utf-8"))
+        line = head.count("\n") + 1
+        raise PenmanSyntaxError(str(exc), len(head), f"{path}:{line}") from None
+    return _newlines(text)
+
+
+def _newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def read_penman_file(path: str) -> list[AmrGraph]:
-    with open(path, encoding="utf-8") as handle:
-        return iter_penman(handle.read(), origin=path)
+    return iter_penman(read_penman_text(path), origin=path)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from amrinfer.classify import classify
-from amrinfer.cli import main
+from amrinfer.cli import build_parser, main
 from amrinfer.errors import RecordError
 from amrinfer.graph import EXACT_DIFFERENCE_CAP
 from amrinfer.pipeline import load_corpus, sample_corpus_path, save_records
@@ -280,15 +280,19 @@ _DECODE_ERROR = "'utf-8' codec can't decode byte 0xff"
 
 @pytest.mark.parametrize("command", ["parse", "classify", "transform"])
 def test_non_utf8_graph_file_is_data_error(command, scar_files, tmp_path, capsys):
+    # The error names the file and the line of the undecodable byte, and
+    # gives its character offset in the file as every Penman error does.
     bad = tmp_path / "bad.amr"
-    bad.write_bytes(b"(r / rock" + _NOT_UTF8 + b")\n")
+    bad.write_bytes(b"# ::id x\r\n(r / rock\n  :mod (h / hard" + _NOT_UTF8 + b"))\n")
     args = {
         "parse": [str(bad)],
         "classify": ["--p1", str(bad), "--p2", scar_files["p2"], "--c", scar_files["c"]],
         "transform": ["--p1", str(bad), "--p2", scar_files["p2"], "--type", "ARG-SUB"],
     }[command]
     assert main([command, *args]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {_DECODE_ERROR}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:3: {_DECODE_ERROR} in position 36")
+    assert err.endswith("(at offset 35)\n")
 
 
 @pytest.fixture()
@@ -341,3 +345,33 @@ def test_annotate_strict_stops_at_a_non_utf8_line(non_utf8_records, tmp_path, ca
     args = ["--input", non_utf8_records, "--output", out, "--strict"]
     assert main(["annotate", *args]) == 2
     assert capsys.readouterr().err.startswith(f"error: line 2: {_DECODE_ERROR}")
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # Each call of a sequence in one process gives what it gives when it
+    # runs first, on a freshly built parser, and the sequence builds one.
+    bad = tmp_path / "bad.amr"
+    bad.write_text("(r / \n", encoding="utf-8")
+    calls = [
+        ["stats", "--input", sample_corpus_path(), "--format", "json"],
+        ["stats", "--input", sample_corpus_path(), "--jobs", "2"],
+        ["parse", str(bad)],
+        ["classify", "--help"],
+        ["--help"],
+        ["stats", "--input", sample_corpus_path()],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
+    first = []
+    for argv in calls:
+        build_parser.cache_clear()
+        first.append(run(argv))
+    assert [r[0] for r in first] == [0, 1, 2, 0, 0, 0]
+
+    build_parser.cache_clear()
+    assert [run(argv) for argv in calls] == first
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)

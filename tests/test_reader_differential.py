@@ -6,6 +6,12 @@ order, or raise the same exception with the same message and offset.
 Every graph the reader returns, which it builds without validating,
 passes ``validate()``.
 
+The reader reads a well-formed document in one pattern pass and hands any
+other text to its token reader. On valid Penman in hand-written layouts
+the pattern pass must not hand over, so those tests make the token reader
+raise; at each point where it must hand over, the result is the
+reference's.
+
 CI runs this file a second time with ``--hypothesis-seed=0``, so a
 failure seen there reproduces with::
 
@@ -16,12 +22,15 @@ from __future__ import annotations
 
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amrinfer import penman
 from amrinfer.errors import AmrError
+from amrinfer.graph import AmrGraph, Constant, Edge
 from amrinfer.penman import parse_penman, serialize_penman
 
 from tests.generators import fuzz_penman_graph, random_graph
@@ -133,3 +142,141 @@ def test_reader_matches_tuple_token_reference(seed, edits, origin):
 )
 def test_reader_matches_reference_on_edge_cases(text):
     assert outcome(parse_penman, text, None) == outcome(scan_parse_penman, text, None)
+
+
+def no_hand_over():
+    """Make the token reader raise, so that only the pattern pass reads."""
+    return mock.patch.object(
+        penman, "_parse", side_effect=AssertionError("handed to the token reader")
+    )
+
+
+CONSTANTS = (
+    Constant("-"),
+    Constant("+"),
+    Constant("42"),
+    Constant("-7"),
+    Constant("3.5"),
+    Constant("-of"),
+    Constant('x\\"y', is_string=True),
+    Constant('say \\"hi\\" (twice): a/b', is_string=True),
+    Constant("", is_string=True),
+)
+CONCEPTS = ("thing", "go-01", "3d-printer", "co2", "o'clock", "non-stick", 'a"b')
+ROLES = (":ARG0", ":ARG1", ":mod", ":op1", ":ARG0-of", ":ARG1-of", ":time")
+
+
+def _layout_graph(rng: random.Random) -> AmrGraph:
+    """A random graph with re-entrancies and inverse roles, plus constant
+    edges of every kind."""
+    g = random_graph(rng, max_nodes=9, concepts=CONCEPTS, roles=ROLES)
+    edges = list(g.edges)
+    for _ in range(rng.randint(0, 4)):
+        edge = Edge(rng.choice(list(g.nodes)), rng.choice(ROLES), rng.choice(CONSTANTS))
+        if edge not in edges:
+            edges.append(edge)
+    return AmrGraph(g.root, g.nodes, tuple(edges))
+
+
+def layout(g: AmrGraph, rng: random.Random) -> str:
+    """``g`` written as a hand-written AMR might be: line breaks and tabs
+    before roles or none at all, no spaces around ``/``, a role glued to
+    the ``(`` it opens, spaces before ``)``. A leaf target keeps a space
+    after its role, which would otherwise read it as part of the role."""
+
+    def gap(*choices: str) -> str:
+        return rng.choice(choices)
+
+    def instance(var: str) -> str:
+        return (
+            "(" + gap("", " ") + var + gap("", " ", "\t") + "/"
+            + gap("", " ", "\n ") + g.nodes[var]
+        )
+
+    parts = [gap("", "\n", " \t"), instance(g.root)]
+    visited = {g.root}
+    stack = [iter(g.outgoing(g.root))]
+    while stack:
+        for e in stack[-1]:
+            parts.append(gap("", " ", "\n  ", "\n\t", "\t") + e.role)
+            target = e.target
+            if isinstance(target, Constant):
+                parts.append(gap(" ", "\t", "\n   ") + target.render())
+            elif target in visited:
+                parts.append(gap(" ", "  ") + target)
+            else:
+                visited.add(target)
+                parts.append(gap("", " ", "\n    ") + instance(target))
+                stack.append(iter(g.outgoing(target)))
+                break
+        else:
+            parts.append(gap("", "", " ", "\n") + ")")
+            stack.pop()
+    parts.append(gap("", "\n", "  \n"))
+    return "".join(parts)
+
+
+@given(st.integers(0, 10**9), st.sampled_from([None, "hand.amr"]))
+@settings(max_examples=300, deadline=None)
+def test_pattern_pass_reads_hand_written_layouts(seed, origin):
+    rng = random.Random(seed)
+    text = layout(_layout_graph(rng), rng)
+    want = outcome(scan_parse_penman, text, origin)
+    assert want[0] == "graph", text
+    with no_hand_over():
+        assert outcome(parse_penman, text, origin) == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # A ``"`` that opens no closed string is a symbol: as a concept
+        # and as a target the token reader builds a graph.
+        '(a / "b)',
+        '(a / b :c "q)',
+        '(a / b :c "q :d 1)',
+        # A role's token runs on through ``"``, so it takes no target.
+        '(a / b :mod"x")',
+        # A closed string ends its token, so ``b`` is a stray symbol.
+        '(a / b :c "a"b)',
+        "(a / b : c)",
+        "(a / b :c (d / e) : )",
+        "(a / b) trailing",
+        "(a / b)) ",
+        "(a / b :c (a / e))",
+        "(a / b :c (d / e) :c d)",
+        "(a / b :c d :c (d / e))",
+        "(a / b :c - :c -)",
+        "(a / b :c d)",
+        "(a / b :c (d / e :f g))",
+        "(a / b :c (d / e)",
+        "(a / b :c",
+        "(a / b :c (d / e) (f / g))",
+        "(1a / b)",
+        '("a" / b)',
+        "(a / b :c /)",
+    ],
+)
+def test_pattern_pass_hands_over_with_the_same_outcome(text):
+    assert penman._read(text) is None
+    want = outcome(scan_parse_penman, text, "x.amr")
+    assert outcome(parse_penman, text, "x.amr") == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # A role whose token holds a ``"`` and takes a target after a space.
+        '(a / b :mod"x" a)',
+        # Tokens that need no space between them.
+        '(a/b:c"x":d -5:e(f/g:h a))',
+        "(a / b:ARG0 c:mod(c / d))",
+        # A symbol that is neither a number nor a variable is a constant.
+        "(a / b :c 1a :d a.b :e o'clock)",
+    ],
+)
+def test_pattern_pass_reads_odd_but_valid_text(text):
+    want = outcome(scan_parse_penman, text, None)
+    assert want[0] == "graph"
+    with no_hand_over():
+        assert outcome(parse_penman, text, None) == want

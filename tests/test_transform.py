@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 
+from amrinfer import penman
 from amrinfer.errors import (
     DuplicateRoleError,
     NoBridgeError,
@@ -13,7 +15,7 @@ from amrinfer.errors import (
     NotSingleDifferenceError,
     UnsupportedTypeError,
 )
-from amrinfer.graph import relaxed_isomorphic, relaxed_subset
+from amrinfer.graph import AmrGraph, relaxed_isomorphic, relaxed_subset
 from amrinfer.penman import parse_penman, serialize_penman
 from amrinfer.taxonomy import InferenceType
 from amrinfer.transform import (
@@ -24,7 +26,7 @@ from amrinfer.transform import (
 )
 
 from tests.corpus_fixtures import sample_records
-from tests.generators import make_premises
+from tests.generators import NOUNS, VERBS, make_premises
 
 AMR = parse_penman
 RECORDS = {r.id: r for r in sample_records()}
@@ -214,6 +216,53 @@ class TestEmittedGraphsReparse:
         text = serialize_penman(out)
         assert text == want
         assert serialize_penman(AMR(text)) == text
+
+
+# Concepts with digits and punctuation, one for each generator word.
+PUNCTUATED = dict(
+    zip(
+        NOUNS + VERBS,
+        (
+            "3d-printer", "co2", "o'clock", "non-stick", "4x4", "h2o", "t-shirt",
+            "rock'n'roll", "x-ray", "mp3", "u.s.", "b12", "e-mail", "2nd", "o2",
+            "half-life", "self-esteem", "well-being", "a1", "24-7",
+            "3d-print-01", "co-occur-01", "re-enter-01", "x-ray-01", "e-mail-01",
+            "half-01", "mp3-01", "u.s.-01", "b12-01", "o'clock-01",
+        ),
+    )
+)
+
+
+def _punctuated(g: AmrGraph) -> AmrGraph:
+    nodes = {v: PUNCTUATED.get(c, c) for v, c in g.nodes.items()}
+    return AmrGraph(g.root, nodes, g.edges)
+
+
+TRANSFORMABLE = HEURISTIC_TYPES | {
+    InferenceType.ARG_SUB, InferenceType.FRAME_SUB, InferenceType.ARG_INS
+}
+
+
+@pytest.mark.parametrize("type_", sorted(TRANSFORMABLE, key=lambda t: t.value))
+def test_punctuated_concepts_round_trip_through_the_pattern_pass(type_):
+    # Serialization prints edges in depth-first order, so the re-read graph
+    # has the same root, concepts and edges, stored in that order.
+    assert len(PUNCTUATED) == len(NOUNS + VERBS)
+    rng = random.Random(7)
+    side_effect = AssertionError("handed to the token reader")
+    for _ in range(10):
+        p1, p2, hint = make_premises(rng, type_)
+        out = transform(
+            TransformRequest(_punctuated(p1.graph), _punctuated(p2.graph), type_, hint)
+        )
+        assert set(out.nodes.values()) & set(PUNCTUATED.values())
+        text = serialize_penman(out)
+        with mock.patch.object(penman, "_parse", side_effect=side_effect):
+            again = parse_penman(text)
+        assert (again.root, again.nodes, set(again.edges)) == (
+            out.root, out.nodes, set(out.edges)
+        )
+        assert serialize_penman(again) == text
 
 
 class TestSiteHint:
