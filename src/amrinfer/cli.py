@@ -46,15 +46,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_graph(path: str):
-    """The one graph of a Penman file. Lines that ``iter_penman`` skips,
+    r"""The one graph of a Penman file. Lines that ``iter_penman`` skips,
     those whose first non-blank character is ``#``, are blanked, so error
-    offsets still index the file."""
-    lines = read_penman_text(path).splitlines(keepends=True)
+    offsets still index the file. As there, lines end only at ``\n``."""
+    lines = read_penman_text(path).split("\n")
     for i, line in enumerate(lines):
         if line.lstrip().startswith("#"):
-            body = line.rstrip("\r\n")
-            lines[i] = " " * len(body) + line[len(body):]
-    return parse_penman("".join(lines), origin=path)
+            lines[i] = " " * len(line)
+    return parse_penman("\n".join(lines), origin=path)
 
 
 def _cmd_parse(args) -> int:

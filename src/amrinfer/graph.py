@@ -152,13 +152,17 @@ class AmrGraph:
     A graph is checked once, when it is built, and trusted after that:
     nothing checks it again, so its ``nodes`` dict must not be changed
     afterwards. Both indexes below rely on the same rule. The public
-    constructor always validates. Two makers prove every invariant
-    themselves and build through the private :meth:`_built`, which skips
-    :meth:`validate`: the Penman reader (its root is the first variable,
-    every reference is checked to be defined, duplicate edges are
-    rejected, and every instance is nested under the root) and
-    :meth:`subgraph_at` (a closure of a valid graph with all of that
-    closure's out-edges).
+    constructor always validates, and so does :func:`apply_delta`, whose
+    delta may come from a caller. Every other maker derives its graph
+    from valid graphs, proves every invariant itself and builds through
+    the private :meth:`_built`, which skips :meth:`validate`: the Penman
+    reader (its root is the first variable, every reference is checked to
+    be defined, duplicate edges are rejected, and every instance is
+    nested under the root), :meth:`subgraph_at`, the graph edits
+    :func:`substitute_subgraph`, :func:`insert_argument`,
+    :func:`conjoin_graphs` and :func:`relabel_node`, and the graphs the
+    transform handlers cut or build directly. Each states its proof in
+    its docstring.
 
     Construction indexes each node's out-edges once, so construction,
     validation, :meth:`outgoing`, :meth:`closure` and :meth:`subgraph_at`
@@ -190,10 +194,11 @@ class AmrGraph:
         out: dict[NodeId, list[int]] | None = None,
     ) -> "AmrGraph":
         """A graph whose maker has proved every invariant that
-        :meth:`validate` checks; not validated. ``out`` is the out-edge
-        index when the maker filled it, as the Penman reader does;
-        otherwise it is built as the constructor builds it. Only the
-        Penman reader and :meth:`subgraph_at` call it."""
+        :meth:`validate` checks; not validated. Every edge must already be
+        an :class:`Edge`. ``out`` is the out-edge index when the maker has
+        it, as the Penman reader and :func:`relabel_node` do; otherwise it
+        is built as the constructor builds it. Only the makers listed in
+        the class docstring call it."""
         g = object.__new__(cls)
         if out is None:
             out = _out_index(edges)
@@ -690,7 +695,12 @@ def _import_nodes(
 def carve(g: AmrGraph, at: NodeId) -> set[NodeId]:
     """Nodes that disappear when ``at`` is cut out: ``at`` and the part of
     its closure no longer reachable from the root once ``at`` is gone.
-    Re-entrant nodes the surviving part still points to stay."""
+    Re-entrant nodes the surviving part still points to stay.
+
+    Every node of a valid graph is reachable from its root, so for ``at``
+    other than the root the nodes that stay are exactly those reachable
+    from the root without passing through ``at``."""
+    edges, out = g.edges, g._out
     alive: set[NodeId] = set()
     stack = [] if g.root == at else [g.root]
     while stack:
@@ -698,9 +708,10 @@ def carve(g: AmrGraph, at: NodeId) -> set[NodeId]:
         if n in alive:
             continue
         alive.add(n)
-        for e in g.outgoing(n):
-            if not isinstance(e.target, Constant) and e.target != at:
-                stack.append(e.target)
+        for i in out.get(n, ()):
+            target = edges[i].target
+            if not isinstance(target, Constant) and target != at:
+                stack.append(target)
     return {at} | {n for n in g.closure(at) if n not in alive}
 
 
@@ -712,6 +723,11 @@ def substitute_subgraph(
     Edges that pointed to ``at`` are repointed at the replacement's root;
     nodes under ``at`` that the rest of the graph still references survive.
     Replacement variables are freshened against the survivors.
+
+    Valid by construction: the survivors are :func:`carve`'s alive set,
+    reachable from the root along kept edges; ``at`` is not the root, so
+    a survivor's edge into ``at`` now reaches the replacement's root; and
+    fresh variables keep every new edge distinct from the kept ones.
     """
     if at not in g.nodes:
         raise InvalidSiteError(f"{at!r} is not a node of the graph")
@@ -738,14 +754,17 @@ def substitute_subgraph(
 
     nodes = dict(survivors)
     nodes.update(new_nodes)
-    return AmrGraph(root=g.root, nodes=nodes, edges=tuple(edges))
+    return AmrGraph._built(g.root, nodes, tuple(edges))
 
 
 def insert_argument(
     g: AmrGraph, frame_head: NodeId, arg: AmrGraph, role: str
 ) -> AmrGraph:
     """Attach ``arg`` under ``frame_head`` with ``role``. Raises
-    :class:`DuplicateRoleError` when an equivalent attachment exists."""
+    :class:`DuplicateRoleError` when an equivalent attachment exists.
+
+    Valid by construction: one new edge from an existing node to the
+    fresh root of a valid graph renamed apart from ``g``."""
     if frame_head not in g.nodes:
         raise InvalidSiteError(f"{frame_head!r} is not a node of the graph")
     for e in g.outgoing(frame_head):
@@ -762,11 +781,14 @@ def insert_argument(
     edges = list(g.edges)
     edges.append(Edge(frame_head, role, rename[arg.root]))
     edges.extend(new_edges)
-    return AmrGraph(root=g.root, nodes=nodes, edges=tuple(edges))
+    return AmrGraph._built(g.root, nodes, tuple(edges))
 
 
 def conjoin_graphs(a: AmrGraph, b: AmrGraph) -> AmrGraph:
-    """Join two graphs under a fresh ``and`` node via ``:op1``, ``:op2``."""
+    """Join two graphs under a fresh ``and`` node via ``:op1``, ``:op2``.
+
+    Valid by construction: a fresh root over two valid graphs renamed
+    apart from it and from each other."""
     root = "a"
     taken = {root}
     a_nodes, a_edges, a_ren = _import_nodes(a, taken)
@@ -780,13 +802,16 @@ def conjoin_graphs(a: AmrGraph, b: AmrGraph) -> AmrGraph:
     ]
     edges.extend(a_edges)
     edges.extend(b_edges)
-    return AmrGraph(root=root, nodes=nodes, edges=tuple(edges))
+    return AmrGraph._built(root, nodes, tuple(edges))
 
 
 def relabel_node(g: AmrGraph, at: NodeId, concept: Concept) -> AmrGraph:
     """Swap one node's concept, keeping all structure. This is the
-    predicate-substitution edit: the node keeps its arguments."""
+    predicate-substitution edit: the node keeps its arguments.
+
+    Valid by construction: the root, node keys and edges of a valid graph
+    are kept, so its out-edge index, never mutated, is shared."""
     if at not in g.nodes:
         raise InvalidSiteError(f"{at!r} is not a node of the graph")
     nodes = {n: (concept if n == at else c) for n, c in g.nodes.items()}
-    return AmrGraph(root=g.root, nodes=nodes, edges=g.edges)
+    return AmrGraph._built(g.root, nodes, g.edges, g._out)

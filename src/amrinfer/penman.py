@@ -310,16 +310,20 @@ def serialize_penman(g: AmrGraph) -> str:
 
 
 def iter_penman(text: str, origin: str | None = None) -> list[AmrGraph]:
-    """Parse a document of graphs separated by blank lines.
+    r"""Parse a document of graphs separated by blank lines.
 
     Lines whose first non-blank character is ``#``, such as the ``# ::id``
     and ``# ::snt`` metadata of the AMR releases, are skipped; a block of
     nothing else yields no graph. An error names the line of its block's
-    first Penman line."""
+    first Penman line.
+
+    Lines end only at ``\n``, once ``\r\n`` and ``\r`` are read as
+    ``\n``: other characters that ``str.splitlines`` breaks at, such as
+    U+2028, stay inside the line, as they stay inside a quoted string."""
     graphs = []
     block_lines: list[str] = []
     start_line = 1
-    for line_no, line in enumerate(text.splitlines() + [""], start=1):
+    for line_no, line in enumerate(_newlines(text).split("\n") + [""], start=1):
         stripped = line.lstrip()
         if stripped.startswith("#"):
             continue

@@ -213,7 +213,11 @@ def _parent_argument_edge(g: AmrGraph, node: NodeId) -> Edge | None:
     return None
 
 
-def _remove_nodes(g: AmrGraph, gone: set[NodeId], root: NodeId) -> AmrGraph:
+def _remove_nodes(g: AmrGraph, gone: set[NodeId]) -> AmrGraph:
+    """``g`` without the nodes ``gone`` and their edges. Valid by
+    construction when ``gone`` is ``carve(g, at)`` for ``at`` other than
+    the root: the rest is carve's alive set, reachable from the root
+    along the edges kept."""
     nodes = {n: c for n, c in g.nodes.items() if n not in gone}
     edges = tuple(
         e
@@ -221,7 +225,7 @@ def _remove_nodes(g: AmrGraph, gone: set[NodeId], root: NodeId) -> AmrGraph:
         if e.source not in gone
         and (isinstance(e.target, Constant) or e.target not in gone)
     )
-    return AmrGraph(root=root, nodes=nodes, edges=edges)
+    return AmrGraph._built(g.root, nodes, edges)
 
 
 def _arg_ins(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
@@ -258,7 +262,7 @@ def _arg_ins(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
             dropped = carve(donor, donor_node)
             if parent.source in dropped:
                 continue
-            residue = _remove_nodes(donor, dropped, donor.root)
+            residue = _remove_nodes(donor, dropped)
             return insert_argument(
                 host, site, residue.subgraph_at(parent.source), f"{parent.role}-of"
             )
@@ -281,13 +285,17 @@ def _conditional_parts(
     g: AmrGraph,
 ) -> tuple[Edge, AmrGraph, list[NodeId]] | None:
     """Split a conditional premise at its root :condition edge into the
-    consequent graph and the antecedent placeholders that re-enter it."""
+    consequent graph and the antecedent placeholders that re-enter it.
+    The consequent is valid by construction: the nodes reachable from the
+    root without crossing the :condition edge, with every other edge among
+    them."""
     cond = g.child_edge(g.root, ":condition")
     if cond is None:
         return None
     antecedent_nodes = set(g.closure(cond.target))
     # Consequent: reachable from the root without crossing the :condition
     # edge. Placeholders live on both sides.
+    edges, out = g.edges, g._out
     seen: dict[NodeId, None] = {}
     stack = [g.root]
     while stack:
@@ -295,19 +303,20 @@ def _conditional_parts(
         if n in seen:
             continue
         seen[n] = None
-        for e in g.outgoing(n):
+        for i in out.get(n, ()):
+            e = edges[i]
             if e == cond or isinstance(e.target, Constant):
                 continue
             stack.append(e.target)
     consequent_nodes = {n: g.nodes[n] for n in seen}
     consequent_edges = tuple(
         e
-        for e in g.edges
+        for e in edges
         if e != cond
         and e.source in consequent_nodes
         and (isinstance(e.target, Constant) or e.target in consequent_nodes)
     )
-    consequent = AmrGraph(g.root, consequent_nodes, consequent_edges)
+    consequent = AmrGraph._built(g.root, consequent_nodes, consequent_edges)
     placeholders = [n for n in seen if n in antecedent_nodes and n != g.root]
     return cond, consequent, placeholders
 
@@ -333,10 +342,14 @@ def _bind_placeholder(
 
 
 def _cond_frame(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
+    # Either premise may be the rule: the first whose antecedent head
+    # occurs in the other premise binds.
+    conditional = False
     for rule_graph, fact in ((p1, p2), (p2, p1)):
         parts = _conditional_parts(rule_graph)
         if parts is None:
             continue
+        conditional = True
         cond, consequent, placeholders = parts
         antecedent_head = rule_graph.nodes[cond.target]
         anchor = None
@@ -345,9 +358,7 @@ def _cond_frame(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
                 anchor = n
                 break
         if anchor is None:
-            raise NoBridgeError(
-                "the conditional antecedent does not match the other premise"
-            )
+            continue
         out = consequent
         for placeholder in placeholders:
             if placeholder not in out.nodes or placeholder == out.root:
@@ -356,6 +367,10 @@ def _cond_frame(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
             if bound is not None:
                 out = substitute_subgraph(out, placeholder, bound)
         return out
+    if conditional:
+        raise NoBridgeError(
+            "the conditional antecedent does not match the other premise"
+        )
     raise NoConditionalError("neither premise carries a root :condition edge")
 
 
@@ -384,10 +399,9 @@ def _generalise(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
     s_id = _variable_for(specific, "s")
     if s_id == g_id:
         s_id = s_id + "2"
-    return AmrGraph(
-        root=g_id,
-        nodes={g_id: general, s_id: specific},
-        edges=(Edge(g_id, ":domain", s_id),),
+    # Valid by construction: two distinct variables and one edge between.
+    return AmrGraph._built(
+        g_id, {g_id: general, s_id: specific}, (Edge(g_id, ":domain", s_id),)
     )
 
 

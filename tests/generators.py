@@ -13,6 +13,10 @@ from amrinfer.pipeline import CorpusRecord
 from amrinfer.penman import serialize_penman
 from amrinfer.taxonomy import InferenceType
 
+#: Every character but ``\n`` and ``\r`` at which ``str.splitlines``
+#: breaks a line. Penman text keeps them inside a line and a string.
+LINE_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
 ORACLE_CONCEPTS = ("alpha", "beta", "gamma", "delta-01", "epsilon")
 ORACLE_ROLES = (":ARG0", ":ARG1", ":mod", ":time")
 

@@ -15,6 +15,7 @@ from amrinfer.pipeline import load_corpus, sample_corpus_path, save_records
 from amrinfer.taxonomy import InferenceType
 
 from tests.corpus_fixtures import sample_records
+from tests.generators import LINE_BREAKS
 
 
 @pytest.fixture()
@@ -38,6 +39,22 @@ def test_parse_prints_canonical_form(tmp_path, capsys):
     assert main(["parse", str(path)]) == 0
     out = capsys.readouterr().out
     assert out == "(r / rock :mod (h / hard))\n\n(w / water)\n"
+
+
+@pytest.mark.parametrize("sep", LINE_BREAKS)
+def test_line_breaks_stay_inside_strings(sep, tmp_path, capsys):
+    # Neither reader ends a line at ``sep``, so the string survives ``parse``
+    # and no part of it is blanked as a ``#`` line for ``transform``.
+    path = tmp_path / "in.amr"
+    text = f'(n / name :op1 "a{sep}# b")'
+    path.write_text(text + "\n", encoding="utf-8")
+    assert main(["parse", str(path)]) == 0
+    assert capsys.readouterr().out == text + "\n"
+    args = ["transform", "--p1", str(path), "--p2", str(path), "--type", "FRAME-CONJ"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (
+        f'(a / and :op1 (n / name :op1 "a{sep}# b") :op2 (n2 / name :op1 "a{sep}# b"))\n'
+    )
 
 
 def test_parse_bad_file_is_data_error(tmp_path, capsys):

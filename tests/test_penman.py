@@ -14,7 +14,7 @@ from amrinfer.errors import DanglingReferenceError, PenmanSyntaxError
 from amrinfer.graph import Constant, exact_isomorphic
 from amrinfer.penman import iter_penman, parse_penman, serialize_penman
 
-from tests.generators import fuzz_penman_graph
+from tests.generators import LINE_BREAKS, fuzz_penman_graph
 
 
 class TestParse:
@@ -197,6 +197,14 @@ class TestMultiGraphReader:
         assert graphs[0] == parse_penman(
             "(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-01 :ARG0 b))"
         )
+
+    @pytest.mark.parametrize("sep", LINE_BREAKS)
+    @pytest.mark.parametrize("body", ["a{}b", "a{}# b", "{}"])
+    def test_line_breaks_stay_inside_strings(self, sep, body):
+        text = f'(n / name :op1 "{body.format(sep)}")'
+        graphs = iter_penman(text)
+        assert graphs == [parse_penman(text)]
+        assert graphs[0].edges[0].target.value == body.format(sep)
 
     def test_metadata_only_document_has_no_graph(self):
         assert iter_penman("# ::id a\n# ::snt nothing parsed\n\n# ::id b\n") == []

@@ -33,13 +33,13 @@ from amrinfer.errors import AmrError
 from amrinfer.graph import AmrGraph, Constant, Edge
 from amrinfer.penman import parse_penman, serialize_penman
 
-from tests.generators import fuzz_penman_graph, random_graph
+from tests.generators import LINE_BREAKS, fuzz_penman_graph, random_graph
 from tests.oracle import scan_parse_penman
 
 FRAGMENTS = (
     "(", ")", "/", ":", '"', "\\", "#", "-", "+", " ", "\n",
     ":ARG0", ":ARG1-of", ":mod", ":polarity", "ARG", "-of", ":op",
-    "v1", "v2", "x", "thing", "go-01", "42", "3.5", '"a b"', '"q',
+    "v1", "v2", "x", "thing", "go-01", "42", "3.5", '"a b"', '"q', *LINE_BREAKS,
 )
 # Whole edges, which parse when inserted before a role or a ``)``, except
 # that ``u9`` is never defined.
@@ -161,6 +161,7 @@ CONSTANTS = (
     Constant('x\\"y', is_string=True),
     Constant('say \\"hi\\" (twice): a/b', is_string=True),
     Constant("", is_string=True),
+    *(Constant(f"a{c}# b", is_string=True) for c in LINE_BREAKS),
 )
 CONCEPTS = ("thing", "go-01", "3d-printer", "co2", "o'clock", "non-stick", 'a"b')
 ROLES = (":ARG0", ":ARG1", ":mod", ":op1", ":ARG0-of", ":ARG1-of", ":time")

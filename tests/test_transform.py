@@ -99,6 +99,13 @@ class TestPerType:
         assert not got.has_concept("renewable")
         assert not got.has_concept("resource")
 
+    def test_cond_frame_takes_the_second_premise_as_the_rule(self):
+        # p1 is conditional too, but its antecedent does not occur in p2.
+        p1 = AMR("(f / freeze-01 :ARG1 (w / water) :condition (c / cool-01 :ARG1 w))")
+        p2 = AMR("(h / heat-01 :ARG1 (w / water) :condition (f / freeze-01 :ARG1 w))")
+        got = transform(TransformRequest(p1, p2, InferenceType.COND_FRAME))
+        assert serialize_penman(got) == "(h / heat-01 :ARG1 (w / water))"
+
     def test_pred_sub_contain_store(self):
         p1, p2, want = _graphs("t02")
         got = transform(TransformRequest(p1, p2, InferenceType.PRED_SUB))
@@ -146,6 +153,13 @@ class TestErrors:
                     AMR("(a / rock)"), AMR("(b / water)"), InferenceType.COND_FRAME
                 )
             )
+
+    def test_cond_frame_no_bridge_when_no_antecedent_binds(self):
+        rule = AMR("(f / freeze-01 :ARG1 (w / water) :condition (c / cool-01 :ARG1 w))")
+        fact = AMR("(r / rock)")
+        for p1, p2 in ((rule, fact), (fact, rule)):
+            with pytest.raises(NoBridgeError):
+                transform(TransformRequest(p1, p2, InferenceType.COND_FRAME))
 
     def test_not_single_difference(self):
         with pytest.raises(NotSingleDifferenceError):
