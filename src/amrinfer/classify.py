@@ -11,13 +11,18 @@ type together with a structured trace of the rule that fired. The cascade:
 4. a conditional premise whose antecedent matches the other premise;
 5. an argument attachment in the conclusion whose material originates in
    the non-pivot premise (property inheritance / argument substitution /
-   frame substitution);
+   frame substitution), unless both premises embed in the conclusion,
+   which makes it a frame conjunction; each conclusion subtree is checked
+   in place, without building it as a graph;
 6. both premises embedded in the conclusion, or a coordination pattern
    (frame conjunction);
 7. exactly one premise embedded (argument/frame insertion);
 8. a fresh :domain link between concepts drawn from different premises
    (generalisation);
 9. the unknown sink.
+
+Each of the three texts is tokenized once per call, and the word lists
+are handed to the steps that read them; nothing is kept between calls.
 
 Everything is pure and deterministic; triples can be classified in
 parallel.
@@ -37,6 +42,7 @@ from .graph import (
     is_predicate,
     relaxed_isomorphic,
     relaxed_subset,
+    relaxed_subset_at,
     stem,
 )
 from .taxonomy import InferenceType
@@ -132,16 +138,22 @@ def jaccard(a: list[str], b: list[str]) -> float:
 def most_similar_premise(t: EntailmentTriple) -> int:
     """Index (1 or 2) of the premise closest to the conclusion by token
     Jaccard similarity; ties go to premise 1."""
-    c = tokenize(t.conclusion.text)
-    s1 = jaccard(tokenize(t.p1.text), c)
-    s2 = jaccard(tokenize(t.p2.text), c)
-    return 2 if s2 > s1 else 1
+    return _pivot(
+        tokenize(t.p1.text), tokenize(t.p2.text), tokenize(t.conclusion.text)
+    )
+
+
+def _pivot(w1: list[str], w2: list[str], wc: list[str]) -> int:
+    return 2 if jaccard(w2, wc) > jaccard(w1, wc) else 1
 
 
 def single_token_diff(a: str, b: str) -> tuple[str, str] | None:
     """The single differing word pair between two sentences, if the token
     sequences have equal length and differ at exactly one position."""
-    ta, tb = tokenize(a), tokenize(b)
+    return _word_diff(tokenize(a), tokenize(b))
+
+
+def _word_diff(ta: list[str], tb: list[str]) -> tuple[str, str] | None:
     if len(ta) != len(tb):
         return None
     diffs = [(x, y) for x, y in zip(ta, tb) if x != y]
@@ -178,39 +190,41 @@ def is_verb(word: str, g: AmrGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _has_signal_example(stmt: Statement) -> bool:
-    return stmt.graph.has_concept("example") or "example" in tokenize(stmt.text)
+def _has_signal_example(g: AmrGraph, words: list[str]) -> bool:
+    return g.has_concept("example") or "example" in words
 
 
-def _has_signal_conditional(stmt: Statement) -> bool:
-    if any(e.role == ":condition" for e in stmt.graph.edges):
+def _has_signal_conditional(g: AmrGraph, words: list[str]) -> bool:
+    if any(e.role == ":condition" for e in g.edges):
         return True
-    tokens = set(tokenize(stmt.text))
-    return "if" in tokens and "then" in tokens
+    return "if" in words and "then" in words
 
 
 def lexical_signal(t: EntailmentTriple) -> InferenceType | None:
     """EXAMPLE / IFT when the conclusion carries the signal and neither
     premise does. EXAMPLE is checked first."""
+    return _lexical_signal(
+        t, tokenize(t.p1.text), tokenize(t.p2.text), tokenize(t.conclusion.text)
+    )
+
+
+def _lexical_signal(
+    t: EntailmentTriple, w1: list[str], w2: list[str], wc: list[str]
+) -> InferenceType | None:
+    g1, g2, gc = t.p1.graph, t.p2.graph, t.conclusion.graph
     if (
-        _has_signal_example(t.conclusion)
-        and not _has_signal_example(t.p1)
-        and not _has_signal_example(t.p2)
+        _has_signal_example(gc, wc)
+        and not _has_signal_example(g1, w1)
+        and not _has_signal_example(g2, w2)
     ):
         return InferenceType.EXAMPLE
     if (
-        _has_signal_conditional(t.conclusion)
-        and not _has_signal_conditional(t.p1)
-        and not _has_signal_conditional(t.p2)
+        _has_signal_conditional(gc, wc)
+        and not _has_signal_conditional(g1, w1)
+        and not _has_signal_conditional(g2, w2)
     ):
         return InferenceType.IFT
     return None
-
-
-def _originates_in(sub: AmrGraph, there: AmrGraph, not_there: AmrGraph) -> bool:
-    """Material belongs exclusively to ``there``: it embeds into ``there``
-    but not into ``not_there``."""
-    return relaxed_subset(sub, there) and not relaxed_subset(sub, not_there)
 
 
 def _attachment_site(
@@ -221,21 +235,25 @@ def _attachment_site(
     non-pivot material or hang off a coordination node. Relaxable-role
     edges only count when the target's head concept anchors in the pivot
     (a replaced argument), which separates substitution from a fresh
-    :domain link."""
+    :domain link. Each subtree is checked in place, against the non-pivot
+    premise first; most fail at once, on a concept that premise lacks."""
     cx = g_x.concepts()
     cother = g_other.concepts()
+    labels = g_c.nodes
     for e in g_c.edges:
-        if isinstance(e.target, Constant):
+        target = e.target
+        if isinstance(target, Constant):
             continue
-        src = g_c.nodes[e.source]
+        src = labels[e.source]
         if src in ("and", "or"):
             continue
         if src in cother and src not in cx:
             continue
-        sub = g_c.subgraph_at(e.target)
-        if not _originates_in(sub, g_other, g_x):
+        if not (e.is_argument or labels[target] in cx):
             continue
-        if e.is_argument or g_c.nodes[e.target] in cx:
+        if relaxed_subset_at(g_c, target, g_other) and not relaxed_subset_at(
+            g_c, target, g_x
+        ):
             return e
     return None
 
@@ -317,9 +335,12 @@ def _domain_generalisation(
 def classify(t: EntailmentTriple) -> ClassificationResult:
     """Assign an inference type to a triple. Total: every well-formed
     triple gets a result, with UNK as the sink."""
-    pivot = most_similar_premise(t)
-    s_x, s_other = (t.p1, t.p2) if pivot == 1 else (t.p2, t.p1)
-    g_x, g_other = s_x.graph, s_other.graph
+    w1, w2, wc = tokenize(t.p1.text), tokenize(t.p2.text), tokenize(t.conclusion.text)
+    pivot = _pivot(w1, w2, wc)
+    if pivot == 1:
+        g_x, g_other, w_x = t.p1.graph, t.p2.graph, w1
+    else:
+        g_x, g_other, w_x = t.p2.graph, t.p1.graph, w2
     g_c = t.conclusion.graph
 
     def result(
@@ -340,14 +361,14 @@ def classify(t: EntailmentTriple) -> ClassificationResult:
             )
 
     # 2. Conclusion-owned lexical signals.
-    lexical = lexical_signal(t)
+    lexical = _lexical_signal(t, w1, w2, wc)
     if lexical is InferenceType.EXAMPLE:
         return result(InferenceType.EXAMPLE, Evidence("lexical-example"))
     if lexical is InferenceType.IFT:
         return result(InferenceType.IFT, Evidence("lexical-if-then"))
 
     # 3. One-word difference between the pivot premise and the conclusion.
-    diff = single_token_diff(s_x.text, t.conclusion.text)
+    diff = _word_diff(w_x, wc)
     if diff is not None:
         w_x, w_c = diff
         verb = is_verb(w_c, g_c) or is_verb(w_x, g_x)
@@ -364,9 +385,13 @@ def classify(t: EntailmentTriple) -> ClassificationResult:
     if conditional is not None:
         return result(InferenceType.COND_FRAME, conditional)
 
-    # 5. Non-pivot material attached inside the conclusion.
+    # 5. Non-pivot material attached inside the conclusion, unless both
+    # premises embed: substitution removes the pivot's replaced material
+    # from the conclusion, so both embedding is the mark of conjunction.
     site = _attachment_site(g_c, g_x, g_other)
     if site is not None:
+        if relaxed_subset(g_x, g_c) and relaxed_subset(g_other, g_c):
+            return result(InferenceType.FRAME_CONJ, Evidence("frame-conjunction"))
         target_concept = g_c.nodes[site.target]
         witnesses = {
             "edge": (site.source, site.role, site.target),

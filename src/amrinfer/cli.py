@@ -18,7 +18,7 @@ import sys
 
 from .classify import EntailmentTriple, Statement, classify
 from .errors import AmrError
-from .penman import parse_penman, read_penman_file, read_penman_text, serialize_penman
+from .penman import read_penman_file, read_penman_graph, serialize_penman
 from .pipeline import (
     InjectionMode,
     annotate_corpus,
@@ -45,17 +45,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _read_graph(path: str):
-    r"""The one graph of a Penman file. Lines that ``iter_penman`` skips,
-    those whose first non-blank character is ``#``, are blanked, so error
-    offsets still index the file. As there, lines end only at ``\n``."""
-    lines = read_penman_text(path).split("\n")
-    for i, line in enumerate(lines):
-        if line.lstrip().startswith("#"):
-            lines[i] = " " * len(line)
-    return parse_penman("\n".join(lines), origin=path)
-
-
 def _cmd_parse(args) -> int:
     graphs = read_penman_file(args.input)
     print("\n\n".join(serialize_penman(g) for g in graphs))
@@ -64,9 +53,9 @@ def _cmd_parse(args) -> int:
 
 def _cmd_classify(args) -> int:
     triple = EntailmentTriple(
-        p1=Statement(args.p1_text or "p1", _read_graph(args.p1)),
-        p2=Statement(args.p2_text or "p2", _read_graph(args.p2)),
-        conclusion=Statement(args.c_text or "c", _read_graph(args.c)),
+        p1=Statement(args.p1_text or "p1", read_penman_graph(args.p1)),
+        p2=Statement(args.p2_text or "p2", read_penman_graph(args.p2)),
+        conclusion=Statement(args.c_text or "c", read_penman_graph(args.c)),
     )
     result = classify(triple)
     if args.format == "json":
@@ -98,8 +87,8 @@ def _cmd_transform(args) -> int:
             return USAGE_ERROR
         site_hint = (parts[0].strip(), parts[1].strip())
     request = TransformRequest(
-        p1=_read_graph(args.p1),
-        p2=_read_graph(args.p2),
+        p1=read_penman_graph(args.p1),
+        p2=read_penman_graph(args.p2),
         type=lookup_type(args.type),
         site_hint=site_hint,
     )

@@ -21,6 +21,15 @@ kept edge touches. Every other node is counted, not searched, since any
 free partner of its concept will do. The search runs on an explicit
 stack, so its depth is not bounded by Python's recursion limit.
 
+:func:`relaxed_subset_at` asks whether the subtree at a node, as
+:meth:`AmrGraph.subgraph_at` would build it, relaxed-embeds in another
+graph, without building it. One walk of the node's closure counts its
+concepts against the other graph's buckets, stopping at the first that
+cannot fit, and collects the closure's argument edges in stored edge
+order. With none, the count alone decides; otherwise the same search as
+:func:`relaxed_subset` runs on those edges. The classifier asks this of
+every conclusion edge, and most fail at the first concept.
+
 That search and the difference alignment file every edge under whichever
 endpoint they assign later, so each edge is checked once, as a plain
 ``(source, role, target)`` tuple against the other graph's edge set, when
@@ -337,9 +346,7 @@ def _embed(
     Candidates are whole buckets, so Hall's condition for the unsearched
     nodes is the check, made first, that each concept occurs in ``b`` at
     least as often as in ``a``; every witness for the searched nodes then
-    completes. The search takes the most-constrained node first, first
-    touch breaking ties, and runs on an explicit stack that keeps one
-    candidate iterator per depth."""
+    completes (see :func:`_search`)."""
     have = b._buckets
     for label, vs in a._buckets.items():
         if len(have.get(label, ())) < len(vs):
@@ -350,6 +357,24 @@ def _embed(
         if labels[a.root] != b.nodes[root]:
             return False
         candidates[a.root] = (root,)
+    return _search(labels, b, edges, candidates)
+
+
+def _search(
+    labels: dict[NodeId, Concept],
+    b: AmrGraph,
+    edges: Sequence[Edge],
+    candidates: dict[NodeId, Sequence[NodeId]],
+) -> bool:
+    """The search behind :func:`_embed`, once the concepts are counted:
+    True when the nodes that ``edges`` touch, each labelled by ``labels``,
+    map injectively onto same-concept nodes of ``b`` so that every edge
+    lands on an edge of ``b``. ``candidates`` holds any node already
+    pinned; every other node's candidates are its concept's bucket. The
+    search takes the most-constrained node first, first touch breaking
+    ties, and runs on an explicit stack that keeps one candidate iterator
+    per depth."""
+    have = b._buckets
     for s, _, t in edges:
         if s not in candidates:
             candidates[s] = have[labels[s]]
@@ -394,6 +419,41 @@ def relaxed_subset(inner: AmrGraph, outer: AmrGraph) -> bool:
     concepts and argument-class edges; relaxable edges are ignored on both
     sides."""
     return _embed(inner, outer, inner._arguments)
+
+
+def relaxed_subset_at(g: AmrGraph, node: NodeId, outer: AmrGraph) -> bool:
+    """``relaxed_subset(g.subgraph_at(node), outer)``, without building
+    the subgraph. One walk of ``node``'s closure counts its concepts
+    against ``outer``'s buckets, stopping at the first that cannot fit,
+    and collects the closure's argument edges; the search then runs on
+    them in stored edge order, as it runs on the subgraph's."""
+    have = outer._buckets
+    labels, edges, out = g.nodes, g.edges, g._out
+    is_argument = _ARGUMENT_ROLE.match
+    need: dict[Concept, int] = {}
+    positions: list[int] = []
+    seen: set[NodeId] = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n in seen:
+            continue
+        seen.add(n)
+        label = labels[n]
+        count = need.get(label, 0) + 1
+        if count > len(have.get(label, ())):
+            return False
+        need[label] = count
+        for i in out.get(n, ()):
+            _, role, t = edges[i]
+            if is_argument(role):
+                positions.append(i)
+            if not isinstance(t, Constant):
+                stack.append(t)
+    if not positions:
+        return True  # Hall's condition holds, as in :func:`_embed`
+    positions.sort()
+    return _search(labels, outer, [edges[i] for i in positions], {})
 
 
 def relaxed_isomorphic(a: AmrGraph, b: AmrGraph) -> bool:

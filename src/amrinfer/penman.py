@@ -315,28 +315,68 @@ def iter_penman(text: str, origin: str | None = None) -> list[AmrGraph]:
     Lines whose first non-blank character is ``#``, such as the ``# ::id``
     and ``# ::snt`` metadata of the AMR releases, are skipped; a block of
     nothing else yields no graph. An error names the line of its block's
-    first Penman line.
+    first Penman line. A quoted string may hold line breaks: the lines it
+    runs over belong to its block, blank or ``#`` lines among them.
 
     Lines end only at ``\n``, once ``\r\n`` and ``\r`` are read as
     ``\n``: other characters that ``str.splitlines`` breaks at, such as
     U+2028, stay inside the line, as they stay inside a quoted string."""
+    text = _newlines(text)
+    held = _held_lines(text)
     graphs = []
     block_lines: list[str] = []
     start_line = 1
-    for line_no, line in enumerate(_newlines(text).split("\n") + [""], start=1):
-        stripped = line.lstrip()
-        if stripped.startswith("#"):
-            continue
-        if stripped:
-            if not block_lines:
-                start_line = line_no
-            block_lines.append(line)
-            continue
-        if block_lines:
-            where = f"{origin}:{start_line}" if origin else f"line {start_line}"
-            graphs.append(parse_penman("\n".join(block_lines), where))
-            block_lines = []
+    for line_no, line in enumerate(text.split("\n") + [""], start=1):
+        if line_no not in held:
+            stripped = line.lstrip()
+            if stripped.startswith("#"):
+                continue
+            if not stripped:
+                if block_lines:
+                    where = f"{origin}:{start_line}" if origin else f"line {start_line}"
+                    graphs.append(parse_penman("\n".join(block_lines), where))
+                    block_lines = []
+                continue
+        if not block_lines:
+            start_line = line_no
+        block_lines.append(line)
     return graphs
+
+
+def _held_lines(text: str) -> set[int]:
+    """The numbers of the lines that start inside a quoted string, which
+    hold whatever the string holds. Only a text with a ``"`` in it is read
+    line by line, and only a line with one outside such a string is read
+    for strings."""
+    held: set[int] = set()
+    if '"' not in text:
+        return held
+    string_end = pos = 0
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        start, pos = pos, pos + len(line) + 1
+        if start < string_end:
+            held.add(line_no)
+        elif '"' in line and not line.lstrip().startswith("#"):
+            string_end = _string_end(text, start, pos - 1)
+    return held
+
+
+def _string_end(text: str, start: int, end: int) -> int:
+    """The offset just past the last quoted string that runs over a line
+    break, reading tokens from ``start``, a line's start, as the token
+    reader reads them, through the line that ends at ``end`` and each line
+    such a string runs into; 0 when none does. Only a closed string token
+    can hold a line break."""
+    found = 0
+    for token in _TOKEN.finditer(text, start):
+        if token.start() >= end:
+            break
+        if token.end() > end:
+            found = token.end()
+            end = text.find("\n", found)
+            if end < 0:
+                end = len(text)
+    return found
 
 
 def read_penman_text(path: str) -> str:
@@ -361,3 +401,15 @@ def _newlines(text: str) -> str:
 
 def read_penman_file(path: str) -> list[AmrGraph]:
     return iter_penman(read_penman_text(path), origin=path)
+
+
+def read_penman_graph(path: str) -> AmrGraph:
+    """The one graph of a Penman file. The lines that :func:`iter_penman`
+    skips as metadata are blanked, so error offsets still index the file."""
+    text = read_penman_text(path)
+    held = _held_lines(text)
+    lines = text.split("\n")
+    for i, line in enumerate(lines):
+        if i + 1 not in held and line.lstrip().startswith("#"):
+            lines[i] = " " * len(line)
+    return parse_penman("\n".join(lines), origin=path)

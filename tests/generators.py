@@ -27,9 +27,12 @@ def random_graph(
     concepts: tuple[str, ...] = ORACLE_CONCEPTS,
     roles: tuple[str, ...] = ORACLE_ROLES,
     constants: bool = False,
+    argument_constants: bool = False,
 ) -> AmrGraph:
     """A random well-formed graph: a spanning tree plus a few re-entrant
-    edges, all drawn from a small alphabet."""
+    edges, all drawn from a small alphabet. ``constants`` may add one
+    ``:value`` constant; ``argument_constants`` adds up to two constant
+    targets on argument roles (``:op1 "x"``, ``:ARG1 -``)."""
     n = rng.randint(1, max_nodes)
     names = [f"v{i}" for i in range(n)]
     nodes = {name: Concept(rng.choice(concepts)) for name in names}
@@ -59,6 +62,13 @@ def random_graph(
         edge = Edge(rng.choice(names), ":value", value)
         if edge not in seen:
             edges.append(edge)
+    if argument_constants:
+        for _ in range(rng.randint(0, 2)):
+            value = rng.choice((Constant("-"), Constant("x", is_string=True)))
+            edge = Edge(rng.choice(names), rng.choice((":ARG1", ":op1")), value)
+            if edge not in seen:
+                edges.append(edge)
+                seen.add(edge)
     return AmrGraph(root=names[0], nodes=nodes, edges=tuple(edges))
 
 
@@ -412,6 +422,67 @@ _MAKERS = {
 }
 
 TRANSFORMABLE_ORDER = tuple(_MAKERS)
+
+
+# ---------------------------------------------------------------------------
+# Premise pairs enlarged with blocks of recurring concepts
+# ---------------------------------------------------------------------------
+
+#: The concepts that recur most in AMR corpora.
+REPEAT_CONCEPTS = ("thing", "person", "and")
+_MOD_ROLES = (":mod", ":time", ":location", ":manner", ":ARG1-of")
+# Types whose transform picks the largest shared-concept bridge: material
+# in both premises would become the bridge instead of the generator's.
+_BRIDGING = (InferenceType.FRAME_SUB, InferenceType.ARG_INS)
+
+
+def repeated_graph(rng: random.Random, size: int, kinds: int) -> AmrGraph:
+    """A node with ``size - 1`` modifiers, all over the first ``kinds``
+    recurring concepts in turn (``thing :mod person ...``). Only relaxable
+    roles join them, so every same-concept assignment fits."""
+    labels = [REPEAT_CONCEPTS[i % kinds] for i in range(size)]
+    names = [f"z{i}" for i in range(size)]
+    edges = tuple(Edge(names[0], rng.choice(_MOD_ROLES), n) for n in names[1:])
+    return AmrGraph(names[0], {n: Concept(c) for n, c in zip(names, labels)}, edges)
+
+
+def _with_argument(g: AmrGraph, role: str) -> AmrGraph:
+    """``g`` plus a ``role`` edge between its last two nodes. Copies that
+    differ only in that role contain each other only in relaxed form."""
+    *_, a, b = g.nodes
+    return AmrGraph(root=g.root, nodes=g.nodes, edges=g.edges + (Edge(a, role, b),))
+
+
+def _attach(g: AmrGraph, extra: AmrGraph, role: str) -> AmrGraph:
+    """``g`` with ``extra`` hung off its root through ``role``; the two
+    share no variable names."""
+    assert not set(g.nodes) & set(extra.nodes)
+    nodes = dict(g.nodes)
+    nodes.update(extra.nodes)
+    edges = g.edges + (Edge(g.root, role, extra.root),) + extra.edges
+    return AmrGraph(root=g.root, nodes=nodes, edges=edges)
+
+
+def enlarged_pairs(rng: random.Random, sizes, material, *, both: bool):
+    """Premise pairs of every transformable type, the first premise
+    enlarged with ``material(rng, size)`` under a relaxable role. With
+    ``both``, both premises get the material, each with its own extra
+    argument role (see :func:`_with_argument`), except for the bridging
+    types. Both premises of a generalisation get the same material, since
+    they must differ by one concept. Yields ``(type, p1, p2, hint)``."""
+    for size in sizes:
+        for t in TRANSFORMABLE_ORDER:
+            s1, s2, hint = make_premises(rng, t)
+            extra = material(rng, size)
+            p1 = _attach(s1.graph, extra, ":mod")
+            if t is InferenceType.ARG_PRED_GEN:
+                p2 = _attach(s2.graph, extra, ":mod")
+            elif both and t not in _BRIDGING:
+                p1 = _attach(s1.graph, _with_argument(extra, ":ARG1"), ":mod")
+                p2 = _attach(s2.graph, _with_argument(extra, ":ARG2"), ":mod")
+            else:
+                p2 = s2.graph
+            yield t, p1, p2, hint
 
 
 def synthetic_corpus(rng: random.Random, size: int) -> list[CorpusRecord]:

@@ -4,8 +4,9 @@ conditions are restated from the definitions, not shared with
 ``amrinfer.graph``.
 
 The scan-based references further down are the quadratic traversals, the
-recursive Penman writer and the rescanning difference alignment that the
-indexed graph core and the incremental matcher replaced; the property
+recursive Penman writer, the rescanning difference alignment and the
+subgraph-building attachment scan that the indexed graph core, the
+incremental matcher and the in-place subtree check replaced; the property
 tests require the production code to agree with them exactly. The
 alignment reference also keeps the looser bound the search once pruned
 by, so that the tighter one can be checked against it.
@@ -162,6 +163,31 @@ def scan_subgraph_at(g: AmrGraph, node) -> AmrGraph:
         and (isinstance(e.target, Constant) or e.target in nodes)
     )
     return AmrGraph(root=node, nodes=nodes, edges=edges)
+
+
+def scan_attachment_site(g_c: AmrGraph, g_x: AmrGraph, g_other: AmrGraph):
+    """Classifier step 5 as it was before each subtree was checked in
+    place: every candidate edge's target subtree is built as a graph by
+    ``subgraph_at`` and tested with ``relaxed_subset``, against the
+    non-pivot premise and then the pivot."""
+    cx = g_x.concepts()
+    cother = g_other.concepts()
+    for e in g_c.edges:
+        if isinstance(e.target, Constant):
+            continue
+        src = g_c.nodes[e.source]
+        if src in ("and", "or"):
+            continue
+        if src in cother and src not in cx:
+            continue
+        sub = g_c.subgraph_at(e.target)
+        if not graph_module.relaxed_subset(sub, g_other):
+            continue
+        if graph_module.relaxed_subset(sub, g_x):
+            continue
+        if e.is_argument or g_c.nodes[e.target] in cx:
+            return e
+    return None
 
 
 def scan_serialize(g: AmrGraph) -> str:

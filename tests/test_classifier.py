@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -195,9 +196,18 @@ class TestClassifyCascade:
         assert validated == [id(probe)]
         for t in triples:
             classify(t)
-        # Nor does classify validate a graph it builds, such as the
-        # subgraphs it carves.
+        # Nor does classify validate a graph of its own making.
         assert validated == [id(probe)]
+
+    def test_each_text_is_tokenized_once_per_call(self):
+        # The sample triples reach every step that reads words; all of them
+        # share one word list per text, and none outlives its call.
+        for _, triple, _ in sample_triples():
+            with mock.patch("amrinfer.classify.tokenize", wraps=tokenize) as counted:
+                classify(triple)
+                assert counted.call_count == 3
+                classify(triple)
+                assert counted.call_count == 6
 
     def test_deterministic(self):
         for _, triple, _ in sample_triples():

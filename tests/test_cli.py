@@ -57,6 +57,26 @@ def test_line_breaks_stay_inside_strings(sep, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("body", ["a\n# b", "a\n\nb"])
+def test_newlines_stay_inside_strings(body, tmp_path, capsys):
+    # What ``parse`` writes reads back through ``parse``, and the ``#`` line
+    # of a string is not blanked for ``classify`` and ``transform``.
+    path = tmp_path / "in.amr"
+    text = f'(n / name :op1 "{body}")\n\n(s / scar)\n'
+    path.write_text(text, encoding="utf-8")
+    assert main(["parse", str(path)]) == 0
+    assert capsys.readouterr().out == text
+    path.write_text(text.split("\n\n(s")[0] + "\n", encoding="utf-8")
+    args = ["transform", "--p1", str(path), "--p2", str(path), "--type", "FRAME-CONJ"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (
+        f'(a / and :op1 (n / name :op1 "{body}") :op2 (n2 / name :op1 "{body}"))\n'
+    )
+    args = ["classify", "--p1", str(path), "--p2", str(path), "--c", str(path)]
+    assert main(args) == 0
+    assert capsys.readouterr().out.startswith("PREM-COPY")
+
+
 def test_parse_bad_file_is_data_error(tmp_path, capsys):
     path = tmp_path / "in.amr"
     path.write_text("(r / \n", encoding="utf-8")

@@ -206,6 +206,48 @@ class TestMultiGraphReader:
         assert graphs == [parse_penman(text)]
         assert graphs[0].edges[0].target.value == body.format(sep)
 
+    @pytest.mark.parametrize("body", ["a\n# b", "a\n\nb", "\n#\n\n# ::snt x\n", "a\n\n(b / c)"])
+    def test_newlines_stay_inside_strings(self, body):
+        # A blank or ``#`` line inside a quoted string belongs to the
+        # string's block. Around it, blank lines still end blocks, and
+        # metadata lines are skipped whatever quotes they hold.
+        text = f'(n / name :op1 "{body}" :mod (t / thing))'
+        doc = f'# ::snt say "hi\n(s / scar)\n\n{text}\n\n# ::id "x\n(r / rock)\n'
+        graphs = iter_penman(doc)
+        assert graphs == [parse_penman(p) for p in ("(s / scar)", text, "(r / rock)")]
+        assert graphs[1].edges[0].target.value == body
+
+    def test_strings_with_newlines_may_follow_each_other(self):
+        # Each string opens on the line where the one before it closes.
+        text = '(n / name :op1 "a\n\nb" :op2 "c\n# d" :op3 "e\n\nf")'
+        assert iter_penman(text + "\n\n(s / scar)") == [
+            parse_penman(text),
+            parse_penman("(s / scar)"),
+        ]
+
+    def test_an_unclosed_quote_holds_no_line_break(self):
+        # A ``"`` that opens no closed string is part of a symbol, as the
+        # reader reads it, so the blank line still ends the block.
+        assert iter_penman('(a / "foo)\n\n(b / bar)') == [
+            parse_penman('(a / "foo)'),
+            parse_penman("(b / bar)"),
+        ]
+
+    def test_error_names_the_block_that_holds_the_string(self):
+        with pytest.raises(PenmanSyntaxError, match="line 3"):
+            iter_penman('(s / scar)\n\n(n / name :op1 "a\n\nb" :op2)\n')
+
+    @given(st.lists(st.text("a #\n", max_size=6), min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_written_strings_with_newlines_read_back(self, bodies):
+        # The layout ``amrinfer parse`` writes: canonical graphs separated
+        # by blank lines, each string written raw.
+        graphs = [
+            parse_penman(f'(n / name :op1 "{body}" :mod (t / thing))') for body in bodies
+        ]
+        text = "\n\n".join(serialize_penman(g) for g in graphs) + "\n"
+        assert iter_penman(text) == graphs
+
     def test_metadata_only_document_has_no_graph(self):
         assert iter_penman("# ::id a\n# ::snt nothing parsed\n\n# ::id b\n") == []
 
