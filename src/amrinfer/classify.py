@@ -16,10 +16,18 @@ type together with a structured trace of the rule that fired. The cascade:
    in place, without building it as a graph;
 6. both premises embedded in the conclusion, or a coordination pattern
    (frame conjunction);
-7. exactly one premise embedded (argument/frame insertion);
+7. exactly one premise embedded (argument/frame insertion): the
+   conclusion nodes that the premise's embedding witness leaves unmapped
+   are the insert, headed by the root when it is unmapped and otherwise
+   by the unmapped end of the first edge that leaves the mapped part;
 8. a fresh :domain link between concepts drawn from different premises
    (generalisation);
 9. the unknown sink.
+
+Steps 5 to 7 read one embedding of each premise into the conclusion,
+found at most once per call by the search that decides containment, so
+the insert comes from the same relaxed semantics, modifiers ignored,
+that decides step 6.
 
 Each of the three texts is tokenized once per call, and the word lists
 are handed to the steps that read them; nothing is kept between calls.
@@ -38,10 +46,10 @@ from .graph import (
     AmrGraph,
     Constant,
     Edge,
-    graph_difference,
+    NodeId,
     is_predicate,
+    relaxed_embedding,
     relaxed_isomorphic,
-    relaxed_subset,
     relaxed_subset_at,
     stem,
 )
@@ -106,6 +114,8 @@ class ClassificationResult:
     type: InferenceType
     pivot: int
     evidence: Evidence
+    #: Set by no rule: every step is decided exactly. Kept for a search
+    #: that could stop early and would have to say so.
     approximate: bool = False
 
     @property
@@ -258,6 +268,24 @@ def _attachment_site(
     return None
 
 
+def _inserted_head(g_c: AmrGraph, witness: dict[NodeId, NodeId]) -> str | None:
+    """Concept heading the conclusion material that a premise's embedding
+    ``witness`` leaves unmapped: the root when it is unmapped, otherwise
+    the unmapped end of the first edge, in stored order, that joins a
+    mapped node and an unmapped one; None when every node is mapped.
+    Every node is reachable from the root, so when the root is mapped and
+    another node is not, such an edge exists."""
+    mapped = set(witness.values())
+    labels = g_c.nodes
+    if g_c.root not in mapped:
+        return labels[g_c.root]
+    for s, _, t in g_c.edges:
+        if isinstance(t, Constant) or (s in mapped) == (t in mapped):
+            continue
+        return labels[s if t in mapped else t]
+    return None
+
+
 def _conditional_match(
     t: EntailmentTriple, g_x: AmrGraph, g_other: AmrGraph
 ) -> Evidence | None:
@@ -343,15 +371,8 @@ def classify(t: EntailmentTriple) -> ClassificationResult:
         g_x, g_other, w_x = t.p2.graph, t.p1.graph, w2
     g_c = t.conclusion.graph
 
-    def result(
-        type_: InferenceType,
-        evidence: Evidence,
-        *,
-        approximate: bool = False,
-    ) -> ClassificationResult:
-        return ClassificationResult(
-            type=type_, pivot=pivot, evidence=evidence, approximate=approximate
-        )
+    def result(type_: InferenceType, evidence: Evidence) -> ClassificationResult:
+        return ClassificationResult(type=type_, pivot=pivot, evidence=evidence)
 
     # 1. No reasoning happened: the conclusion repeats a premise graph.
     for which, g in (("pivot", g_x), ("other", g_other)):
@@ -385,12 +406,16 @@ def classify(t: EntailmentTriple) -> ClassificationResult:
     if conditional is not None:
         return result(InferenceType.COND_FRAME, conditional)
 
+    # Each premise's embedding into the conclusion, found at most once per
+    # call: the pivot's here, the other's where a step first needs it.
+    x_in_c = relaxed_embedding(g_x, g_c)
+
     # 5. Non-pivot material attached inside the conclusion, unless both
     # premises embed: substitution removes the pivot's replaced material
     # from the conclusion, so both embedding is the mark of conjunction.
     site = _attachment_site(g_c, g_x, g_other)
     if site is not None:
-        if relaxed_subset(g_x, g_c) and relaxed_subset(g_other, g_c):
+        if x_in_c is not None and relaxed_embedding(g_other, g_c) is not None:
             return result(InferenceType.FRAME_CONJ, Evidence("frame-conjunction"))
         target_concept = g_c.nodes[site.target]
         witnesses = {
@@ -417,27 +442,24 @@ def classify(t: EntailmentTriple) -> ClassificationResult:
         )
 
     # 6. Conjunction: both premises embed, or their subjects coordinate.
-    x_in_c = relaxed_subset(g_x, g_c)
-    other_in_c = relaxed_subset(g_other, g_c)
-    if x_in_c and other_in_c:
+    other_in_c = relaxed_embedding(g_other, g_c)
+    if x_in_c is not None and other_in_c is not None:
         return result(InferenceType.FRAME_CONJ, Evidence("frame-conjunction"))
     if _domain_coordination(g_c, g_x, g_other):
         return result(InferenceType.FRAME_CONJ, Evidence("domain-coordination"))
 
-    # 7. Insertion: exactly one premise embeds; the delta is the insert.
-    for contained, which in ((x_in_c, "pivot"), (other_in_c, "other")):
-        if not contained:
+    # 7. Insertion: exactly one premise embeds; the conclusion material
+    # its witness leaves unmapped is the insert.
+    for witness, which in ((x_in_c, "pivot"), (other_in_c, "other")):
+        if witness is None:
             continue
-        base = g_x if which == "pivot" else g_other
-        delta = graph_difference(base, g_c)
-        head = delta.attachment_root(g_c)
+        head = _inserted_head(g_c, witness)
         if head is None:
             continue
         rule = "frame-insertion" if is_predicate(head) else "argument-insertion"
         return result(
             InferenceType.ARG_INS,
             Evidence(rule, {"inserted_head": head, "base": which}),
-            approximate=delta.approximate,
         )
 
     # 8. Fresh :domain generalisation across the premises.

@@ -30,6 +30,14 @@ order. With none, the count alone decides; otherwise the same search as
 :func:`relaxed_subset` runs on those edges. The classifier asks this of
 every conclusion edge, and most fail at the first concept.
 
+The search returns its assignment of the searched nodes, not only whether
+one exists. :func:`relaxed_embedding` completes it, giving every other
+node the first free node of its concept bucket, into the witness of
+containment that the classifier reads: one premise's witness into the
+conclusion leaves unmapped exactly the inserted material, so classifier
+step 7 reads its head there, under the same relaxed semantics that
+decide containment.
+
 That search and the difference alignment file every edge under whichever
 endpoint they assign later, so each edge is checked once, as a plain
 ``(source, role, target)`` tuple against the other graph's edge set, when
@@ -37,10 +45,12 @@ its last endpoint is assigned. Both read the other graph's match index
 (concept buckets, edge set, argument edges), which each graph builds on
 first use and keeps.
 
-The difference alignment is a branch-and-bound search for a maximum
-common subgraph. Its bound counts only what is still open (McGregor,
-1982): the nodes not yet reached that have a candidate, and the edges
-filed at or after the current position, whose fate is not yet decided.
+The difference alignment, :func:`graph_difference` with its replay
+:func:`apply_delta`, is a library function that the pipeline does not
+call. It is a branch-and-bound search for a maximum common subgraph. Its
+bound counts only what is still open (McGregor, 1982): the nodes not yet
+reached that have a candidate, and the edges filed at or after the
+current position, whose fate is not yet decided.
 A branch is pruned when that bound scores no better than the incumbent.
 Since only a strict improvement replaces the incumbent, the result is the
 first leaf, in search order, with the best score; no pruned branch can
@@ -54,7 +64,7 @@ share between workers.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable, Sequence, Set as AbstractSet
+from collections.abc import Callable, Iterable, Iterator, Sequence, Set as AbstractSet
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -336,26 +346,28 @@ def _file_edges(
 
 def _embed(
     a: AmrGraph, b: AmrGraph, edges: Sequence[Edge], root: NodeId | None = None
-) -> bool:
-    """True when the nodes of ``a`` map injectively onto same-concept nodes
-    of ``b`` so that every edge in ``edges`` lands on an edge of ``b``;
-    ``root``, when given, is the only candidate for ``a``'s root.
+) -> dict[NodeId, NodeId] | None:
+    """A witness that the nodes of ``a`` map injectively onto same-concept
+    nodes of ``b`` so that every edge in ``edges`` lands on an edge of
+    ``b``, or None when there is none; ``root``, when given, is the only
+    candidate for ``a``'s root.
 
-    Only the nodes that ``edges`` touch, and a pinned root, are searched:
-    every other node just needs a free partner in its concept bucket.
-    Candidates are whole buckets, so Hall's condition for the unsearched
-    nodes is the check, made first, that each concept occurs in ``b`` at
-    least as often as in ``a``; every witness for the searched nodes then
-    completes (see :func:`_search`)."""
+    Only the nodes that ``edges`` touch, and a pinned root, are searched,
+    and only they are in the witness: every other node just needs a free
+    partner in its concept bucket. Candidates are whole buckets, so Hall's
+    condition for the unsearched nodes is the check, made first, that each
+    concept occurs in ``b`` at least as often as in ``a``; every witness
+    for the searched nodes then completes (see :func:`_search` and
+    :func:`relaxed_embedding`)."""
     have = b._buckets
     for label, vs in a._buckets.items():
         if len(have.get(label, ())) < len(vs):
-            return False
+            return None
     labels = a.nodes
     candidates: dict[NodeId, Sequence[NodeId]] = {}
     if root is not None:
         if labels[a.root] != b.nodes[root]:
-            return False
+            return None
         candidates[a.root] = (root,)
     return _search(labels, b, edges, candidates)
 
@@ -365,15 +377,16 @@ def _search(
     b: AmrGraph,
     edges: Sequence[Edge],
     candidates: dict[NodeId, Sequence[NodeId]],
-) -> bool:
+) -> dict[NodeId, NodeId] | None:
     """The search behind :func:`_embed`, once the concepts are counted:
-    True when the nodes that ``edges`` touch, each labelled by ``labels``,
-    map injectively onto same-concept nodes of ``b`` so that every edge
-    lands on an edge of ``b``. ``candidates`` holds any node already
-    pinned; every other node's candidates are its concept's bucket. The
-    search takes the most-constrained node first, first touch breaking
-    ties, and runs on an explicit stack that keeps one candidate iterator
-    per depth."""
+    an injective map of the nodes that ``edges`` touch, each labelled by
+    ``labels``, onto same-concept nodes of ``b`` under which every edge
+    lands on an edge of ``b``, or None. With no node to search the map
+    is ``{}``, which is a witness, so callers test ``is not None``.
+    ``candidates`` holds any node already pinned; every other node's
+    candidates are its concept's bucket. The search takes the
+    most-constrained node first, first touch breaking ties, and runs on
+    an explicit stack that keeps one candidate iterator per depth."""
     have = b._buckets
     for s, _, t in edges:
         if s not in candidates:
@@ -382,7 +395,7 @@ def _search(
             candidates[t] = have[labels[t]]
     order = sorted(candidates, key=lambda v: len(candidates[v]))
     if not order:
-        return True
+        return {}
     filed = _file_edges(order, edges)
     keys = b._edge_set
     assign: dict[NodeId, NodeId] = {}
@@ -408,17 +421,44 @@ def _search(
                 used.remove(assign[order[depth - 1]])
             continue
         if depth == last:
-            return True
+            return assign
         used.add(w)
         tries.append(iter(candidates[order[depth + 1]]))
-    return False
+    return None
 
 
 def relaxed_subset(inner: AmrGraph, outer: AmrGraph) -> bool:
     """True when ``inner`` embeds injectively into ``outer`` preserving
     concepts and argument-class edges; relaxable edges are ignored on both
     sides."""
-    return _embed(inner, outer, inner._arguments)
+    return _embed(inner, outer, inner._arguments) is not None
+
+
+def relaxed_embedding(
+    inner: AmrGraph, outer: AmrGraph
+) -> dict[NodeId, NodeId] | None:
+    """The witness of :func:`relaxed_subset`, made total: every node of
+    ``inner`` maps to its node of ``outer``, or None when ``inner`` does
+    not embed. The searched nodes keep the search's partners; every other
+    node, in stored node order, takes the first free node of its concept
+    bucket. Hall's condition, checked before the search, leaves one free
+    for each."""
+    witness = _embed(inner, outer, inner._arguments)
+    if witness is None:
+        return None
+    searched = set(witness.values())
+    buckets = outer._buckets
+    free: dict[Concept, Iterator[NodeId]] = {}
+    for v, label in inner.nodes.items():
+        if v in witness:
+            continue
+        if label not in free:
+            free[label] = iter(buckets[label])
+        for w in free[label]:
+            if w not in searched:
+                witness[v] = w
+                break
+    return witness
 
 
 def relaxed_subset_at(g: AmrGraph, node: NodeId, outer: AmrGraph) -> bool:
@@ -453,7 +493,7 @@ def relaxed_subset_at(g: AmrGraph, node: NodeId, outer: AmrGraph) -> bool:
     if not positions:
         return True  # Hall's condition holds, as in :func:`_embed`
     positions.sort()
-    return _search(labels, outer, [edges[i] for i in positions], {})
+    return _search(labels, outer, [edges[i] for i in positions], {}) is not None
 
 
 def relaxed_isomorphic(a: AmrGraph, b: AmrGraph) -> bool:
@@ -466,7 +506,7 @@ def relaxed_isomorphic(a: AmrGraph, b: AmrGraph) -> bool:
     # correspondence a bijection on argument structure.
     if len(arguments) != len(b._arguments):
         return False
-    return _embed(a, b, arguments)
+    return _embed(a, b, arguments) is not None
 
 
 def exact_isomorphic(a: AmrGraph, b: AmrGraph) -> bool:
@@ -474,7 +514,7 @@ def exact_isomorphic(a: AmrGraph, b: AmrGraph) -> bool:
     role. Used for serialization round-trips, never for inference."""
     if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
         return False
-    return _embed(a, b, a.edges, root=b.root)
+    return _embed(a, b, a.edges, root=b.root) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -507,24 +547,6 @@ class GraphDelta:
             or self.added_nodes
             or self.added_edges
         )
-
-    def attachment_root(self, to_graph: AmrGraph) -> Concept | None:
-        """Concept heading the added material: the first added node entered
-        from retained material, or the new root itself when it is added."""
-        added = {n for n, _ in self.added_nodes}
-        if not added:
-            return None
-        if self.to_root in added:
-            return to_graph.nodes[self.to_root]
-        mapped_targets = set(self.node_map.values())
-        for e in self.added_edges:
-            if isinstance(e.target, Constant):
-                continue
-            if e.target in added and e.source not in added:
-                return to_graph.nodes[e.target]
-            if e.source in added and e.target in mapped_targets:
-                return to_graph.nodes[e.source]
-        return to_graph.nodes[self.added_nodes[0][0]]
 
 
 def _greedy_alignment(from_g: AmrGraph, to_g: AmrGraph) -> dict[NodeId, NodeId]:

@@ -152,7 +152,11 @@ class AnnotationReport:
 
     def add(self, record: CorpusRecord) -> None:
         """Count one typed record: its predicted type, an ``approximate``
-        flag in its evidence, and its agreement with a gold type."""
+        flag in its evidence, and its agreement with a gold type. The
+        classifier decides every step exactly, so that flag comes only
+        from files annotated by earlier versions, which read the
+        insertion head off a difference alignment that could fall back
+        to a greedy one."""
         t = record.predicted_type
         self.counts[t] = self.counts.get(t, 0) + 1
         self.total += 1

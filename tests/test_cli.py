@@ -112,9 +112,11 @@ def test_classify_json(scar_files, capsys):
     assert payload["pivot"] == 2
 
 
-def test_classify_json_reports_approximate(tmp_path, capsys):
-    # An insertion past the exact-difference cap has an approximate delta;
-    # the JSON carries the same evidence fields as an annotated record.
+def test_classify_json_reads_the_insertion_past_the_difference_cap(tmp_path, capsys):
+    # An insertion larger than the difference alignment's exact-search cap
+    # is read off the containment witness, which is exact at any size, so
+    # nothing is flagged approximate; the JSON carries the same evidence
+    # fields as an annotated record.
     chain = "".join(f" :mod (m{i} / hue{i}" for i in range(EXACT_DIFFERENCE_CAP))
     graphs = {
         "p1": "(r / rock)",
@@ -134,7 +136,8 @@ def test_classify_json_reports_approximate(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["type"] == "ARG-INS"
-    assert payload["approximate"] is True
+    assert "approximate" not in payload
+    assert payload["witnesses"]["inserted_head"] == "hard"
 
 
 def test_transform_emits_penman(scar_files, capsys):

@@ -52,16 +52,6 @@ def test_insertion_delta_is_pure_addition():
     assert not delta.removed_nodes
     assert not delta.removed_edges
     assert sorted(c for _, c in delta.added_nodes) == ["come-01", "sun"]
-    head = delta.attachment_root(after)
-    assert head is not None and head == "come-01"
-
-
-def test_attachment_root_for_plain_argument():
-    before = AMR("(g / granite :domain (s / stone))")
-    after = AMR("(g / granite :domain (s / stone) :mod (h / hard :mod (v / very)))")
-    delta = graph_difference(before, after)
-    head = delta.attachment_root(after)
-    assert head is not None and head == "hard"
 
 
 def test_variable_names_do_not_matter():

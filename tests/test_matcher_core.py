@@ -3,7 +3,9 @@ references: the same difference alignment (or an exhausted budget on both
 sides), the same greedy fallback and the same delta; and exact isomorphism
 agrees with networkx's multigraph matcher. The alignment's bound is proved
 against the looser one it replaced: wherever the loose search finishes,
-the tight one finishes with the same alignment."""
+the tight one finishes with the same alignment. The containment witness
+that the classifier reads exists exactly when the brute-force oracle finds
+an embedding, and is one."""
 
 from __future__ import annotations
 
@@ -27,10 +29,13 @@ from amrinfer.graph import (
     _greedy_alignment,
     exact_isomorphic,
     graph_difference,
+    is_argument_role,
+    relaxed_embedding,
 )
 
-from tests.generators import layered_graph, random_graph
+from tests.generators import ORACLE_CONCEPTS, layered_graph, random_graph
 from tests.oracle import (
+    brute_subset,
     scan_exact_alignment,
     scan_graph_difference,
     scan_greedy_alignment,
@@ -188,3 +193,58 @@ def test_exact_isomorphic_agrees_with_networkx(seed_a, seed_b, related):
         edge_match=isomorphism.categorical_multiedge_match("role", None),
     )
     assert exact_isomorphic(a, b) == matcher.is_isomorphic()
+
+
+# ---------------------------------------------------------------------------
+# The containment witness against the brute-force oracle
+# ---------------------------------------------------------------------------
+
+# The oracle's five concepts, and three of them, where nodes share
+# candidates and more pairs embed.
+_ALPHABETS = (ORACLE_CONCEPTS, ORACLE_CONCEPTS[:3])
+
+
+def _oracle_graph(seed: int, max_nodes: int, alphabet: tuple[str, ...]) -> AmrGraph:
+    return random_graph(
+        random.Random(seed), max_nodes, alphabet, constants=True, argument_constants=True
+    )
+
+
+def _assert_witness(inner: AmrGraph, outer: AmrGraph) -> bool:
+    """The witness is None exactly when the oracle finds no embedding, and
+    otherwise total, injective, concept-preserving and carries every
+    argument edge of ``inner`` onto an edge of ``outer``. Returns whether
+    ``inner`` embeds."""
+    witness = relaxed_embedding(inner, outer)
+    assert (witness is not None) == brute_subset(inner, outer), (inner, outer)
+    if witness is None:
+        return False
+    assert witness.keys() == inner.nodes.keys()
+    assert len(set(witness.values())) == len(witness)
+    assert all(outer.nodes[w] == inner.nodes[v] for v, w in witness.items())
+    outer_edges = set(outer.edges)
+    for s, role, t in inner.edges:
+        if is_argument_role(role):
+            image = t if isinstance(t, Constant) else witness[t]
+            assert Edge(witness[s], role, image) in outer_edges, (inner, outer)
+    return True
+
+
+@given(_seeds, _seeds, st.sampled_from(_ALPHABETS))
+@settings(max_examples=400, deadline=None)
+def test_witness_agrees_with_oracle(seed_inner, seed_outer, alphabet):
+    _assert_witness(
+        _oracle_graph(seed_inner, 5, alphabet), _oracle_graph(seed_outer, 8, alphabet)
+    )
+
+
+def test_witness_agrees_with_oracle_on_a_fixed_sample():
+    # A fixed sample wide enough to see both outcomes from each alphabet.
+    rng = random.Random(3)
+    for alphabet in _ALPHABETS:
+        embeds = 0
+        for _ in range(1500):
+            inner = _oracle_graph(rng.randrange(10**9), 5, alphabet)
+            outer = _oracle_graph(rng.randrange(10**9), 8, alphabet)
+            embeds += _assert_witness(inner, outer)
+        assert 0 < embeds < 1500
