@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import MalformedTripleError
 from .graph import (
@@ -205,7 +206,7 @@ def _has_signal_example(g: AmrGraph, words: list[str]) -> bool:
 
 
 def _has_signal_conditional(g: AmrGraph, words: list[str]) -> bool:
-    if any(e.role == ":condition" for e in g.edges):
+    if ":condition" in map(itemgetter(1), g.edges):
         return True
     return "if" in words and "then" in words
 

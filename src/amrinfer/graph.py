@@ -179,9 +179,10 @@ class AmrGraph:
     be defined, duplicate edges are rejected, and every instance is
     nested under the root), :meth:`subgraph_at`, the graph edits
     :func:`substitute_subgraph`, :func:`insert_argument`,
-    :func:`conjoin_graphs` and :func:`relabel_node`, and the graphs the
-    transform handlers cut or build directly. Each states its proof in
-    its docstring.
+    :func:`conjoin_graphs` and :func:`relabel_node`, and the two graphs
+    that transform handlers build directly: COND-FRAME's consequent and
+    ARG/PRED-GEN's two-node graph. Each states its proof beside its
+    code.
 
     Construction indexes each node's out-edges once, so construction,
     validation, :meth:`outgoing`, :meth:`closure` and :meth:`subgraph_at`
@@ -267,11 +268,13 @@ class AmrGraph:
                 return e
         return None
 
-    def closure(self, node: NodeId) -> list[NodeId]:
+    def closure(self, node: NodeId, cut: NodeId | None = None) -> list[NodeId]:
         """Nodes reachable from ``node`` along edge direction, in a stable
-        depth-first order (constants excluded)."""
+        depth-first order (constants excluded). The walk never enters
+        ``cut``, when given, which must not be ``node``: it starts out
+        seen, so no edge pays a test, and it is dropped at the end."""
         edges, out = self.edges, self._out
-        seen: dict[NodeId, None] = {}
+        seen: dict[NodeId, None] = {} if cut is None else {cut: None}
         stack = [node]
         while stack:
             n = stack.pop()
@@ -282,21 +285,25 @@ class AmrGraph:
                 target = edges[i].target
                 if not isinstance(target, Constant):
                     stack.append(target)
+        if cut is not None:
+            del seen[cut]
         return list(seen)
 
-    def subgraph_at(self, node: NodeId) -> "AmrGraph":
-        """The subgraph rooted at ``node``: its closure plus all internal
-        edges (including constant-targeted ones), in stored edge order.
-        The closure is closed under out-edges, so every out-edge of a kept
-        node is internal."""
-        keep = self.closure(node)
-        out = self._out
+    def subgraph_at(self, node: NodeId, cut: NodeId | None = None) -> "AmrGraph":
+        """The subgraph rooted at ``node``: its closure, never entering
+        ``cut`` (which must not be ``node``), plus every out-edge of a
+        kept node that does not enter ``cut`` (including constant-targeted
+        ones), in stored edge order. Every such edge is internal: its
+        target is a constant or is reached through it."""
+        keep = self.closure(node, cut)
+        out, edges = self._out, self.edges
         positions = sorted(i for n in keep for i in out.get(n, ()))
-        # A closure of a valid graph with all its out-edges is valid.
+        # Every kept node is reached from ``node`` along kept edges, and
+        # the edges are distinct edges of a valid graph: valid.
         return AmrGraph._built(
             node,
             {n: self.nodes[n] for n in keep},
-            tuple([self.edges[i] for i in positions]),
+            tuple([edges[i] for i in positions if edges[i].target != cut]),
         )
 
     # -- match index: each part built on first use, then kept --------------
@@ -774,29 +781,6 @@ def _import_nodes(
     return nodes, edges, rename
 
 
-def carve(g: AmrGraph, at: NodeId) -> set[NodeId]:
-    """Nodes that disappear when ``at`` is cut out: ``at`` and the part of
-    its closure no longer reachable from the root once ``at`` is gone.
-    Re-entrant nodes the surviving part still points to stay.
-
-    Every node of a valid graph is reachable from its root, so for ``at``
-    other than the root the nodes that stay are exactly those reachable
-    from the root without passing through ``at``."""
-    edges, out = g.edges, g._out
-    alive: set[NodeId] = set()
-    stack = [] if g.root == at else [g.root]
-    while stack:
-        n = stack.pop()
-        if n in alive:
-            continue
-        alive.add(n)
-        for i in out.get(n, ()):
-            target = edges[i].target
-            if not isinstance(target, Constant) and target != at:
-                stack.append(target)
-    return {at} | {n for n in g.closure(at) if n not in alive}
-
-
 def substitute_subgraph(
     g: AmrGraph, at: NodeId, replacement: AmrGraph
 ) -> AmrGraph:
@@ -806,10 +790,12 @@ def substitute_subgraph(
     nodes under ``at`` that the rest of the graph still references survive.
     Replacement variables are freshened against the survivors.
 
-    Valid by construction: the survivors are :func:`carve`'s alive set,
-    reachable from the root along kept edges; ``at`` is not the root, so
-    a survivor's edge into ``at`` now reaches the replacement's root; and
-    fresh variables keep every new edge distinct from the kept ones.
+    Valid by construction: the survivors, ``g.closure(g.root, at)``, are
+    the nodes still reachable once ``at`` is gone (every node of a valid
+    graph is reachable from its root), each along kept edges. ``at`` is
+    not the root, so a survivor's edge into ``at`` now reaches the
+    replacement's root; fresh variables keep every new edge distinct
+    from the kept ones.
     """
     if at not in g.nodes:
         raise InvalidSiteError(f"{at!r} is not a node of the graph")
@@ -818,23 +804,20 @@ def substitute_subgraph(
             "substitution at the root replaces the whole graph; "
             "use the replacement directly"
         )
-    removed = carve(g, at)
-    survivors = {n: c for n, c in g.nodes.items() if n not in removed}
-    taken = set(survivors)
-    new_nodes, new_edges, rename = _import_nodes(replacement, taken)
+    alive = set(g.closure(g.root, at))
+    nodes = {n: c for n, c in g.nodes.items() if n in alive}
+    new_nodes, new_edges, rename = _import_nodes(replacement, set(nodes))
+    spliced = rename[replacement.root]
 
     edges: list[Edge] = []
     for e in g.edges:
-        if e.source in removed:
+        if e.source not in alive:
             continue
-        if not isinstance(e.target, Constant) and e.target in removed:
-            if e.target == at:
-                edges.append(Edge(e.source, e.role, rename[replacement.root]))
-            continue
+        if e.target == at:
+            e = Edge(e.source, e.role, spliced)
         edges.append(e)
     edges.extend(new_edges)
 
-    nodes = dict(survivors)
     nodes.update(new_nodes)
     return AmrGraph._built(g.root, nodes, tuple(edges))
 

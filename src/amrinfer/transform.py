@@ -31,7 +31,6 @@ from .graph import (
     Constant,
     Edge,
     NodeId,
-    carve,
     conjoin_graphs,
     insert_argument,
     is_predicate,
@@ -131,6 +130,16 @@ def _arg_sub(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
     )
 
 
+def _root_arguments(g: AmrGraph) -> dict[str, NodeId]:
+    """The root's argument children that are variables, as
+    ``{role: target}``; a repeated role keeps its last target."""
+    return {
+        e.role: e.target
+        for e in g.outgoing(g.root)
+        if e.is_argument and not isinstance(e.target, Constant)
+    }
+
+
 def _pred_sub(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
     # The linking premise equates two predicates: either
     # '(mean-01 :ARG1 v1 :ARG2 v2)' or '(v2 :domain v1)' with both senses.
@@ -138,11 +147,7 @@ def _pred_sub(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
         root = link.nodes[link.root]
         source = target = None
         if root == "mean-01":
-            args = {
-                e.role: e.target
-                for e in link.outgoing(link.root)
-                if e.is_argument and not isinstance(e.target, Constant)
-            }
+            args = _root_arguments(link)
             if ":ARG1" in args and ":ARG2" in args:
                 source = link.nodes[args[":ARG1"]]
                 target = link.nodes[args[":ARG2"]]
@@ -183,11 +188,7 @@ def _made_of(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
     for link, host in ((p1, p2), (p2, p1)):
         if link.nodes[link.root] != "make-01":
             continue
-        args = {
-            e.role: e.target
-            for e in link.outgoing(link.root)
-            if e.is_argument and not isinstance(e.target, Constant)
-        }
+        args = _root_arguments(link)
         if ":ARG1" not in args or ":ARG2" not in args:
             continue
         entity = link.subgraph_at(args[":ARG1"])
@@ -211,21 +212,6 @@ def _parent_argument_edge(g: AmrGraph, node: NodeId) -> Edge | None:
         if e.target == node and e.is_argument:
             return e
     return None
-
-
-def _remove_nodes(g: AmrGraph, gone: set[NodeId]) -> AmrGraph:
-    """``g`` without the nodes ``gone`` and their edges. Valid by
-    construction when ``gone`` is ``carve(g, at)`` for ``at`` other than
-    the root: the rest is carve's alive set, reachable from the root
-    along the edges kept."""
-    nodes = {n: c for n, c in g.nodes.items() if n not in gone}
-    edges = tuple(
-        e
-        for e in g.edges
-        if e.source not in gone
-        and (isinstance(e.target, Constant) or e.target not in gone)
-    )
-    return AmrGraph._built(g.root, nodes, edges)
 
 
 def _arg_ins(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
@@ -259,13 +245,11 @@ def _arg_ins(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
             parent = _parent_argument_edge(donor, donor_node)
             if parent is None or donor_node == donor.root:
                 continue
-            dropped = carve(donor, donor_node)
-            if parent.source in dropped:
+            # The frame left once the bridge is cut out, if it survives.
+            if parent.source not in donor.closure(donor.root, donor_node):
                 continue
-            residue = _remove_nodes(donor, dropped)
-            return insert_argument(
-                host, site, residue.subgraph_at(parent.source), f"{parent.role}-of"
-            )
+            frame = donor.subgraph_at(parent.source, donor_node)
+            return insert_argument(host, site, frame, f"{parent.role}-of")
     raise NoBridgeError(
         "argument insertion needs a shared concept sitting in argument "
         "position of the donor premise"
@@ -294,7 +278,8 @@ def _conditional_parts(
         return None
     antecedent_nodes = set(g.closure(cond.target))
     # Consequent: reachable from the root without crossing the :condition
-    # edge. Placeholders live on both sides.
+    # edge: ``closure``'s cut removes a node, not an edge. Placeholders
+    # live on both sides and are bound in this walk's order.
     edges, out = g.edges, g._out
     seen: dict[NodeId, None] = {}
     stack = [g.root]

@@ -248,6 +248,37 @@ def brute_carve(g: AmrGraph, at) -> set:
     return {n for n in g.nodes if n not in alive}
 
 
+def scan_severed_frame(g: AmrGraph, at, source) -> AmrGraph | None:
+    """The frame at ``source`` once ``at`` is cut out of ``g``, or None
+    when ``source`` goes with ``at``, built without ``closure``'s cut:
+    the nodes that disappear with ``at`` by a walk of their own, the
+    residue without them and their edges, then the residue's subgraph at
+    ``source``. The residue goes through the validating constructor."""
+    edges, out = g.edges, g._out
+    alive: set = set()
+    stack = [] if g.root == at else [g.root]
+    while stack:
+        n = stack.pop()
+        if n in alive:
+            continue
+        alive.add(n)
+        for i in out.get(n, ()):
+            target = edges[i].target
+            if not isinstance(target, Constant) and target != at:
+                stack.append(target)
+    gone = {at} | {n for n in g.closure(at) if n not in alive}
+    if source in gone:
+        return None
+    nodes = {n: c for n, c in g.nodes.items() if n not in gone}
+    kept = tuple(
+        e
+        for e in g.edges
+        if e.source not in gone
+        and (isinstance(e.target, Constant) or e.target not in gone)
+    )
+    return AmrGraph(g.root, nodes, kept).subgraph_at(source)
+
+
 def _scan_edge_keys(g: AmrGraph) -> set:
     keys = set()
     for e in g.edges:

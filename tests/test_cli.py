@@ -313,6 +313,26 @@ def test_stats_reads_stored_types_without_classifying(tmp_path, capsys, monkeypa
     assert capsys.readouterr().out == expected
 
 
+def test_stats_counts_approximate_flags_from_older_annotations(tmp_path, capsys):
+    # Files annotated before the classifier read the insertion head off
+    # its containment witness may flag a record's evidence approximate.
+    out = tmp_path / "annotated.jsonl"
+    assert main(["annotate", "--input", sample_corpus_path(), "--output", str(out)]) == 0
+    assert main(["stats", "--input", str(out)]) == 0
+    assert "approximate deltas" not in capsys.readouterr().out
+
+    lines = out.read_text(encoding="utf-8").splitlines()
+    for i in (0, 3):
+        record = json.loads(lines[i])
+        record["evidence"]["approximate"] = True
+        lines[i] = json.dumps(record)
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["stats", "--input", str(out)]) == 0
+    table = capsys.readouterr().out
+    assert "approximate deltas: 2" in table.splitlines()
+    assert "gold matches: 11/11" in table
+
+
 # A byte that UTF-8 never starts a character with.
 _NOT_UTF8 = b"\xff"
 _DECODE_ERROR = "'utf-8' codec can't decode byte 0xff"

@@ -5,7 +5,9 @@ with re-entrancies and cycles, each output equals, field for field and
 down to the out-edge index, the graph that the validating constructor
 builds from its root, nodes and edges, and every edge is an ``Edge``.
 The survivors of a substitution are the nodes that the root still
-reaches once the site is gone, by the brute-force reference.
+reaches once the site is gone, by the brute-force reference, and a
+subgraph cut at a node is the frame that the residue-building reference
+severs there.
 
 CI runs this file a second time with ``--hypothesis-seed=0``, so a
 failure seen there reproduces with::
@@ -38,7 +40,7 @@ from tests.generators import (
     make_premises,
     random_graph,
 )
-from tests.oracle import brute_carve
+from tests.oracle import brute_carve, scan_severed_frame
 
 _seeds = st.integers(0, 10**9)
 
@@ -81,6 +83,26 @@ def test_substitution_at_every_non_root_node(seed):
         survivors = [n for n in g.nodes if n not in gone]
         assert list(out.nodes)[: len(survivors)] == survivors
         assert len(out.nodes) == len(survivors) + len(replacement.nodes)
+
+
+@given(_seeds)
+@settings(max_examples=200, deadline=None)
+def test_subgraph_cut_at_every_non_root_node(seed):
+    g = _graph(random.Random(seed))
+    for at in g.nodes:
+        if at == g.root:
+            continue
+        survivors = g.closure(g.root, at)
+        for p in g.nodes:
+            ref = scan_severed_frame(g, at, p)
+            if p not in survivors:
+                assert ref is None
+                continue
+            out = g.subgraph_at(p, at)
+            assert out.root == ref.root
+            assert list(out.nodes.items()) == list(ref.nodes.items())
+            assert out.edges == ref.edges
+            assert_proved(out)
 
 
 @given(_seeds, st.sampled_from([":mod", ":ARG1", ":time"]))
