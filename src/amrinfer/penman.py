@@ -13,7 +13,9 @@ exactly isomorphic to the original.
 
 Reading and writing are single passes in time linear in the text and the
 graph. Both keep the open instances on an explicit stack rather than the
-call stack, so nesting depth has no limit.
+call stack, so nesting depth has no limit. The writer reads the out-edge
+index once per node and writes a node with no out-edges in place, so only
+a node with out-edges is pushed.
 
 A well-formed document is read as the root's ``( var / concept`` and then
 one pass of a single pattern whose matches are whole steps: a role with
@@ -286,22 +288,33 @@ def serialize_penman(g: AmrGraph) -> str:
 
     Deterministic: identical graphs yield byte-identical output, and
     ``parse_penman(serialize_penman(g))`` is exactly isomorphic to ``g``.
+
+    The out-edge index is looked up once per node. A node first reached
+    with no out-edges is written whole, ``(var / concept)``, in place;
+    only a node with out-edges opens an instance on the stack.
     """
-    parts = [f"({g.root} / {g.nodes[g.root]}"]
-    visited = {g.root}
-    # Open instances, each with the iterator over its remaining out-edges.
-    stack = [iter(g.outgoing(g.root))]
+    nodes, edges, out = g.nodes, g.edges, g._out
+    root = g.root
+    parts = [f"({root} / {nodes[root]}"]
+    visited = {root}
+    # Open instances, each with the iterator over its remaining out-edge
+    # positions.
+    stack = [iter(out.get(root, ()))]
     while stack:
-        for e in stack[-1]:
-            target = e.target
+        for i in stack[-1]:
+            _, role, target = edges[i]
             if isinstance(target, Constant):
-                parts.append(f" {e.role} {target.render()}")
+                parts.append(f" {role} {target.render()}")
             elif target in visited:
-                parts.append(f" {e.role} {target}")
+                parts.append(f" {role} {target}")
             else:
                 visited.add(target)
-                parts.append(f" {e.role} ({target} / {g.nodes[target]}")
-                stack.append(iter(g.outgoing(target)))
+                positions = out.get(target)
+                if positions is None:
+                    parts.append(f" {role} ({target} / {nodes[target]})")
+                    continue
+                parts.append(f" {role} ({target} / {nodes[target]}")
+                stack.append(iter(positions))
                 break
         else:
             parts.append(")")

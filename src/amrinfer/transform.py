@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
+    DuplicateRoleError,
     NoBridgeError,
     NoConditionalError,
     NotSingleDifferenceError,
@@ -235,6 +236,9 @@ def _arg_ins(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
             )
     # Default: sever the donor frame at the bridge node and hang the
     # remainder off the host's matching node through the inverted role.
+    # A candidate whose insertion would duplicate an attachment the host
+    # already has is skipped for the next one.
+    duplicated = False
     for n1, n2, _ in bridge_candidates(p1, p2):
         if hint is not None and (n1, n2) != tuple(hint):
             continue
@@ -249,7 +253,15 @@ def _arg_ins(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
             if parent.source not in donor.closure(donor.root, donor_node):
                 continue
             frame = donor.subgraph_at(parent.source, donor_node)
-            return insert_argument(host, site, frame, f"{parent.role}-of")
+            try:
+                return insert_argument(host, site, frame, f"{parent.role}-of")
+            except DuplicateRoleError:
+                duplicated = True
+    if duplicated:
+        raise NoBridgeError(
+            "argument insertion found no bridge whose insertion would not "
+            "duplicate an attachment the host premise already has"
+        )
     raise NoBridgeError(
         "argument insertion needs a shared concept sitting in argument "
         "position of the donor premise"

@@ -400,6 +400,35 @@ def test_record_commands_skip_a_non_utf8_line(command, non_utf8_records, tmp_pat
             assert len(handle.readlines()) == 2
 
 
+@pytest.mark.parametrize("command", ["stats", "emit-prompts"])
+def test_typed_records_still_have_their_amr_checked_at_load(command, tmp_path, capsys):
+    # A typed record is not classified again, but its graphs are still
+    # parsed when it is loaded, and one that does not parse is a bad line.
+    annotated = tmp_path / "annotated.jsonl"
+    args = ["--input", sample_corpus_path(), "--output", str(annotated)]
+    assert main(["annotate", *args]) == 0
+    lines = annotated.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[4])
+    record["c_amr"] = "(broken"
+    lines[4] = json.dumps(record)
+    annotated.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+
+    out = str(tmp_path / "prompts.jsonl")
+    args = {
+        "stats": ["--format", "json"],
+        "emit-prompts": ["--mode", "ep", "--output", out],
+    }[command]
+    assert main([command, "--input", str(annotated), *args]) == 0
+    captured = capsys.readouterr()
+    assert "skipped line 5" in captured.err
+    if command == "stats":
+        assert json.loads(captured.out)["total"] == len(lines) - 1
+    else:
+        with open(out, encoding="utf-8") as handle:
+            assert len(handle.readlines()) == len(lines) - 1
+
+
 def test_annotate_strict_stops_at_a_non_utf8_line(non_utf8_records, tmp_path, capsys):
     out = str(tmp_path / "out.jsonl")
     args = ["--input", non_utf8_records, "--output", out, "--strict"]

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amrinfer.errors import GraphInvariantError
-from amrinfer.graph import AmrGraph, Concept, Edge
+from amrinfer.errors import AmrError, GraphInvariantError
+from amrinfer.graph import AmrGraph, Concept, Edge, conjoin_graphs
 from amrinfer.penman import parse_penman, serialize_penman
+from amrinfer.taxonomy import InferenceType
+from amrinfer.transform import TransformRequest, transform
 
 from tests.generators import fuzz_penman_graph, layered_graph, random_graph
 from tests.oracle import (
@@ -25,15 +27,32 @@ from tests.oracle import (
 )
 
 
+def _inserted(rng: random.Random) -> AmrGraph | None:
+    """No-hint ARG-INS on a fuzz pair, or None when it fails."""
+    p1, p2 = fuzz_penman_graph(rng), fuzz_penman_graph(rng)
+    try:
+        return transform(TransformRequest(p1, p2, InferenceType.ARG_INS))
+    except AmrError:
+        return None
+
+
 def _graphs():
-    """Oracle and fuzz graphs, plus layered ones with chains up to 150
-    deep (the recursive references need the call stack)."""
+    """Oracle and fuzz graphs, layered ones with chains up to 150 deep
+    (the recursive references need the call stack), and derived ones,
+    conjoined or with a frame inserted, whose stored edge order differs
+    most from document order."""
     seeds = st.integers(0, 10**9)
     return st.one_of(
         seeds.map(lambda s: random_graph(random.Random(s), constants=True)),
         seeds.map(lambda s: fuzz_penman_graph(random.Random(s))),
         st.tuples(seeds, st.integers(1, 200), st.integers(0, 150)).map(
             lambda a: layered_graph(random.Random(a[0]), a[1], a[2])
+        ),
+        seeds.map(random.Random).map(
+            lambda r: conjoin_graphs(fuzz_penman_graph(r), fuzz_penman_graph(r))
+        ),
+        seeds.map(lambda s: _inserted(random.Random(s))).filter(
+            lambda g: g is not None
         ),
     )
 

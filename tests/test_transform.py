@@ -146,6 +146,35 @@ class TestErrors:
         got = transform(TransformRequest(p1, AMR("(x / snow-01)"), InferenceType.IFT))
         assert [e.role for e in got.outgoing(got.root)].count(":condition") == 2
 
+    def test_arg_ins_skips_a_bridge_that_duplicates_an_attachment(self):
+        # The first bridge, (v6, v0) with p1 as donor, would hang a second
+        # ``:ARG1-of`` water under p2's root; the next one, (v1, v1) with
+        # p1 as donor, inserts.
+        p1 = AMR(
+            "(v0 / thing :ARG1 (v1 / water :ARG1 (v6 / contain-01))"
+            " :mod (v2 / require-01 :ARG1-of (v4 / be-located-at-91 :ARG2 v2)"
+            " :op1 (v5 / water :value 67)) :mod (v3 / thing))"
+        )
+        p2 = AMR("(v0 / contain-01 :ARG1-of (v1 / water))")
+        got = transform(TransformRequest(p1, p2, InferenceType.ARG_INS))
+        assert serialize_penman(got) == (
+            "(v0 / contain-01 :ARG1-of (v1 / water :ARG1-of (v02 / thing"
+            " :mod (v2 / require-01 :ARG1-of (v4 / be-located-at-91 :ARG2 v2)"
+            " :op1 (v5 / water :value 67)) :mod (v3 / thing))))"
+        )
+
+    def test_arg_ins_without_a_bridge_that_does_not_duplicate(self):
+        p1 = AMR(
+            '(v0 / cause-01 :ARG0 (v1 / scar :value "some text")'
+            " :ARG1-of (v2 / be-located-at-91))"
+        )
+        p2 = AMR(
+            "(v0 / be-located-at-91 :ARG1 (v1 / cause-01 :op1 (v2 / water"
+            " :ARG1-of (v3 / thing) :ARG2 (v4 / require-01))))"
+        )
+        with pytest.raises(NoBridgeError, match="duplicate an attachment"):
+            transform(TransformRequest(p1, p2, InferenceType.ARG_INS))
+
     def test_no_conditional(self):
         with pytest.raises(NoConditionalError):
             transform(
