@@ -53,9 +53,9 @@ def _cmd_parse(args) -> int:
 
 def _cmd_classify(args) -> int:
     triple = EntailmentTriple(
-        p1=Statement(args.p1_text or "p1", read_penman_graph(args.p1)),
-        p2=Statement(args.p2_text or "p2", read_penman_graph(args.p2)),
-        conclusion=Statement(args.c_text or "c", read_penman_graph(args.c)),
+        p1=Statement(args.p1_text, read_penman_graph(args.p1)),
+        p2=Statement(args.p2_text, read_penman_graph(args.p2)),
+        conclusion=Statement(args.c_text, read_penman_graph(args.c)),
     )
     result = classify(triple)
     if args.format == "json":
@@ -160,9 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", required=True, help="Penman file for premise 1")
     p.add_argument("--p2", required=True, help="Penman file for premise 2")
     p.add_argument("--c", required=True, help="Penman file for the conclusion")
-    p.add_argument("--p1-text", default=None)
-    p.add_argument("--p2-text", default=None)
-    p.add_argument("--c-text", default=None)
+    p.add_argument("--p1-text", default="p1")
+    p.add_argument("--p2-text", default="p2")
+    p.add_argument("--c-text", default="c")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_classify)
 

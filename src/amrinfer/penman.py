@@ -17,31 +17,29 @@ call stack, so nesting depth has no limit. The writer reads the out-edge
 index once per node and writes a node with no out-edges in place, so only
 a node with out-edges is pushed.
 
-A well-formed document is read as the root's ``( var / concept`` and then
-one pass of a single pattern whose matches are whole steps: a role with
-the ``( var / concept`` it opens or with its constant or reference
-target, and a ``)``. The pattern ends each role and reference where the
-token grammar below ends it, so no step reads the text as other tokens
-than the token reader would. Each edge is complete at its step, so the
-out-edge index is filled as the edges are read.
+A document is read as the root's ``( var / concept`` and then one pass
+of a single pattern whose matches are whole steps: a role with the
+``( var / concept`` it opens or with its constant or reference target,
+and a ``)``. The pattern ends each token where the token grammar below
+ends it, so the steps read the text as the same tokens that grammar
+does. Each edge is complete at its step, so the out-edge index is filled
+as the edges are read. The read proves every invariant that
+:meth:`AmrGraph.validate` checks, so it builds its graph without
+validating it again.
 
-At the first step that does not fit, the text goes to the token reader,
-which is kept to name the error; it also reads the few valid texts the
-pattern leaves to it, such as a concept that starts with an unclosed
-``"``. It works on token strings, taken by one ``findall`` over a single
-token pattern. A token's kind follows from its first character; a
-``"``-prefixed token is a string only when the whole of it is one closed
-string. Offsets are not kept: an error finds its token's offset by
-scanning the text again with the same pattern. A lone ``:`` is reported
-as an unexpected character before any other error. Both readers prove
-every invariant that :meth:`AmrGraph.validate` checks, so they build
-their graphs without validating them again.
+On any other text the pattern pass gives up, and only then is the
+error named, by walking the steps again without building a graph. A
+step that the pattern does not fit is read again token by token, with
+the token pattern, to find the token at fault and its offset. A lone
+``:`` is reported as an unexpected character before any other error,
+and a reference never defined after every other.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import islice
+from collections.abc import Iterator
+from typing import NoReturn
 
 from .errors import DanglingReferenceError, PenmanSyntaxError
 from .graph import AmrGraph, Concept, Constant, Edge, NodeId
@@ -50,17 +48,14 @@ _STRING = r'"(?:[^"\\]|\\.)*"'
 # One alternative per token kind, tried in this order: ``(``, ``)``,
 # ``/``, role, closed string, symbol (which also takes a ``"`` that opens
 # no closed string) and, last, any other character, which can only be a
-# ``:`` that starts no role.
-_TOKEN = re.compile(rf"[()/]|:[^\s()/]+|{_STRING}|[^\s()/:]+|\S")
-_CLOSED_STRING = re.compile(_STRING)
-_KINDS = {"(": "lparen", ")": "rparen", "/": "slash", ":": "role"}
+# ``:`` that starts no role. The symbol alternative is the only group.
+_TOKEN = re.compile(rf"[()/]|:[^\s()/]+|{_STRING}|([^\s()/:]+)|\S")
 
 _VARIABLE = r"[A-Za-z][A-Za-z0-9-]*"
 _IDENTIFIER = re.compile(rf"{_VARIABLE}\Z")
-_NUMBER = re.compile(r"[+-]?\d+(?:\.\d+)?\Z")
 
-# A symbol token that does not start with ``"``.
-_PLAIN = r'[^\s()/:"][^\s()/:]*'
+# A symbol token: one that does not start with a closed string.
+_PLAIN = rf"(?!{_STRING})[^\s()/:]+"
 # The root's ``( var / concept``.
 _ROOT = re.compile(rf"\s*\(\s*({_VARIABLE})\s*/\s*({_PLAIN})")
 # One step of a well-formed document per match, as the groups (close,
@@ -85,138 +80,17 @@ _STEP = re.compile(
 )
 
 
-def _kind(token: str) -> str:
-    """A token's kind, from its first character. A ``"``-prefixed token is
-    a string only when the whole of it is one closed string."""
-    if token[0] == '"':
-        return "string" if _CLOSED_STRING.fullmatch(token) else "symbol"
-    return _KINDS.get(token[0], "symbol")
-
-
-def _offset(text: str, index: int) -> int:
-    """Character offset of token ``index``, found by scanning again with
-    the same pattern; only an error needs it."""
-    return next(islice(_TOKEN.finditer(text), index, None)).start()
-
-
-def _parse(text: str, origin: str | None) -> AmrGraph:
-    """One pass over the token strings. The instances still open around
-    the current one wait on an explicit stack, each with the role that
-    leads to the current one, that role's token index and its edge's slot.
-    A slot is reserved when its role is read, so edge order is the
-    document order of the roles.
-
-    The graph is built without :meth:`AmrGraph.validate`, because the
-    reader proves every invariant it checks: the root is the first
-    variable, every instance is nested under the root, every reference is
-    checked to be defined, and a duplicate edge is an error."""
-    tokens = _TOKEN.findall(text)
-    if ":" in tokens:
-        raise PenmanSyntaxError(
-            "unexpected character ':'", _offset(text, tokens.index(":")), origin
-        )
-    count = len(tokens)
-
-    def error(message: str, at: int | None = None) -> PenmanSyntaxError:
-        """The error at token index ``at``, or at the end of the input."""
-        offset = len(text.rstrip()) if at is None else _offset(text, at)
-        return PenmanSyntaxError(message, offset, origin)
-
-    def take(i: int, kind: str, expected: str) -> str:
-        if i >= count:
-            raise error(f"expected {expected}, found end of input")
-        token = tokens[i]
-        if _kind(token) != kind:
-            raise error(f"expected {expected}, found {token!r}", i)
-        return token
-
-    nodes: dict[NodeId, Concept] = {}
-
-    def open_instance(i: int) -> NodeId:
-        """Read the four tokens ``( var / concept`` at ``i``, one by one,
-        so that the first to fail names the error."""
-        take(i, "lparen", "'('")
-        var = take(i + 1, "symbol", "a variable name")
-        if not _IDENTIFIER.match(var):
-            raise error(f"invalid variable name {var!r}", i + 1)
-        take(i + 2, "slash", "'/'")
-        concept = take(i + 3, "symbol", "a concept")
-        if var in nodes:
-            raise error(f"duplicate variable definition {var!r}", i + 1)
-        nodes[var] = concept
-        return var
-
-    edges: list[Edge | None] = []
-    edge_set: set[Edge] = set()
-    # (variable, token index) pairs awaiting definition.
-    references: list[tuple[NodeId, int]] = []
-    stack: list[tuple[NodeId, str, int, int]] = []
-    var = open_instance(0)
-    i = 4
-    while True:
-        if i >= count:
-            raise error("expected ':role' or ')', found end of input")
-        token = tokens[i]
-        i += 1
-        if token == ")":
-            if not stack:
-                break
-            target = var
-            var, role, role_at, slot = stack.pop()
-        elif token[0] != ":":
-            raise error(f"expected ':role' or ')', found {token!r}", i - 1)
-        else:
-            role, role_at, slot = token, i - 1, len(edges)
-            edges.append(None)
-            if i >= count:
-                raise error("expected an edge target, found end of input")
-            token = tokens[i]
-            if token == "(":
-                stack.append((var, role, role_at, slot))
-                var = open_instance(i)
-                i += 4
-                continue
-            i += 1
-            first = token[0]
-            if first == '"' and _CLOSED_STRING.fullmatch(token):
-                target = Constant(token[1:-1], is_string=True)
-            elif first in ")/:":
-                raise error(f"expected an edge target, found {token!r}", i - 1)
-            elif _NUMBER.match(token) or token in ("-", "+"):
-                target = Constant(token)
-            elif _IDENTIFIER.match(token):
-                references.append((token, i - 1))
-                target = token
-            else:
-                target = Constant(token)
-        edge = Edge(var, role, target)
-        if edge in edge_set:
-            raise error(f"duplicate edge {role}", role_at)
-        edge_set.add(edge)
-        edges[slot] = edge
-
-    if i < count:
-        raise error(f"trailing input {tokens[i]!r}", i)
-    for ref, at in references:
-        if ref not in nodes:
-            raise DanglingReferenceError(
-                f"variable {ref!r} referenced but never defined",
-                _offset(text, at),
-                origin,
-            )
-    return AmrGraph._built(var, nodes, tuple(edges))
-
-
 def _read(text: str) -> AmrGraph | None:
     """The graph of a well-formed document, read as the root's match and
-    one ``findall`` of whole steps, or None at the first step that does
-    not fit one; the token reader then names the error. The instances
-    open around the current one wait on a stack. Each edge is complete at
-    its own step, since a role that opens an instance names the child's
-    variable there, so edges and the out-edge index are filled in the
-    document order of the roles, as the token reader fills them. A
-    duplicate variable, a duplicate edge, a reference that is never
-    defined and any input after the root's ``)`` hand over."""
+    one ``findall`` of whole steps, or None when it is not one. The
+    instances open around the current one wait on a stack. Each edge is
+    complete at its own step, since a role that opens an instance names
+    the child's variable there, so edges and the out-edge index are
+    filled in the document order of the roles. The graph is built without
+    :meth:`AmrGraph.validate`, because the read proves every invariant it
+    checks: the root is the first variable, every instance is nested
+    under the root, no variable is defined twice, no edge is repeated and
+    every reference is defined."""
     root = _ROOT.match(text)
     if root is None:
         return None
@@ -269,6 +143,100 @@ def _read(text: str) -> AmrGraph | None:
     return AmrGraph._built(var, nodes, tuple(edges), out)
 
 
+def _first_error(text: str, origin: str | None) -> NoReturn:
+    """Raise the error of a text that :func:`_read` refuses: the first
+    that a read token by token meets. A lone ``:`` comes before any other
+    error. The steps are then walked again, checking what the graph would
+    hold without building it. A step that the pattern does not fit is
+    read again token by token from its start, and the first token that
+    does not fit the grammar names the error. An instance's edge is
+    complete at its ``)``, so an error inside the instance comes before a
+    duplicate of that edge. A reference never defined comes last."""
+
+    def fail(message: str, at: int | None = None) -> NoReturn:
+        """Raise the error at offset ``at``, or at the end of the input."""
+        offset = len(text.rstrip()) if at is None else at
+        raise PenmanSyntaxError(message, offset, origin)
+
+    def take(
+        tokens: Iterator[re.Match[str]], expected: str, first: str = ""
+    ) -> re.Match[str]:
+        """The next token, which must start with ``first`` or, without
+        it, be a symbol."""
+        token = next(tokens, None)
+        if token is None:
+            fail(f"expected {expected}, found end of input")
+        fits = token[0].startswith(first) if first else token[1] is not None
+        if not fits:
+            fail(f"expected {expected}, found {token[0]!r}", token.start())
+        return token
+
+    def read_instance(tokens: Iterator[re.Match[str]], opener: str) -> NoReturn:
+        """Read ``( var / concept``, which the pattern does not fit, token
+        by token; ``opener`` names what the ``(`` stands for."""
+        take(tokens, opener, "(")
+        var = take(tokens, "a variable name")
+        if not _IDENTIFIER.match(var[0]):
+            fail(f"invalid variable name {var[0]!r}", var.start())
+        take(tokens, "'/'", "/")
+        take(tokens, "a concept")
+        raise AssertionError(f"the pattern refused a valid instance at {var.start()}")
+
+    for token in _TOKEN.finditer(text):
+        if token[0] == ":":
+            fail("unexpected character ':'", token.start())
+    root = _ROOT.match(text)
+    if root is None:
+        read_instance(_TOKEN.finditer(text), "'('")
+    var: NodeId | None = root[1]
+    nodes = {var}
+    edges: set[tuple[NodeId, str, str]] = set()
+    references: list[tuple[NodeId, int]] = []
+    # The open instances' parents, each with the role that leads to the
+    # instance and the role's offset.
+    stack: list[tuple[NodeId, str, int]] = []
+    for step in _STEP.finditer(text, root.end()):
+        close, role, child, _, string, ref, const = step.groups()
+        if var is None:
+            token = _TOKEN.search(text, step.start())
+            fail(f"trailing input {token[0]!r}", token.start())
+        if close:
+            if not stack:
+                var = None
+                continue
+            child = var
+            var, role, at = stack.pop()
+            edge = (var, role, child)
+        elif not role:
+            # A role whose target the pattern does not fit, or no role:
+            # any leaf target would fit, so it can only be an instance.
+            tokens = _TOKEN.finditer(text, step.start())
+            take(tokens, "':role' or ')'", ":")
+            read_instance(tokens, "an edge target")
+        elif child:
+            if child in nodes:
+                fail(f"duplicate variable definition {child!r}", step.start(3))
+            nodes.add(child)
+            stack.append((var, role, step.start(2)))
+            var = child
+            continue
+        else:
+            if ref:
+                references.append((ref, step.start(6)))
+            # A target's token stands for it: a string keeps its quotes.
+            edge, at = (var, role, string or ref or const), step.start(2)
+        if edge in edges:
+            fail(f"duplicate edge {role}", at)
+        edges.add(edge)
+    if var is not None:
+        fail("expected ':role' or ')', found end of input")
+    # _read refused the text, so the error left is a reference.
+    ref, at = next((ref, at) for ref, at in references if ref not in nodes)
+    raise DanglingReferenceError(
+        f"variable {ref!r} referenced but never defined", at, origin
+    )
+
+
 def parse_penman(text: str, origin: str | None = None) -> AmrGraph:
     """Parse one Penman expression into a graph.
 
@@ -280,7 +248,9 @@ def parse_penman(text: str, origin: str | None = None) -> AmrGraph:
     if not text.strip():
         raise PenmanSyntaxError("empty input", 0, origin)
     g = _read(text)
-    return _parse(text, origin) if g is None else g
+    if g is None:
+        _first_error(text, origin)
+    return g
 
 
 def serialize_penman(g: AmrGraph) -> str:

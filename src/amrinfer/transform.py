@@ -404,7 +404,13 @@ def _generalise(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
 
 def _ift(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
     # Convention: p1 carries the consequent, p2 the antecedent.
-    return insert_argument(p1, p1.root, p2, ":condition")
+    try:
+        return insert_argument(p1, p1.root, p2, ":condition")
+    except DuplicateRoleError as exc:
+        raise NoBridgeError(
+            "if-then insertion would duplicate a :condition the consequent "
+            "premise's root already has"
+        ) from exc
 
 
 _HANDLERS = {

@@ -11,9 +11,9 @@ tests require the production code to agree with them exactly. The
 alignment reference also keeps the looser bound the search once pruned
 by, so that the tighter one can be checked against it.
 
-``scan_parse_penman`` at the end is the Penman reader that the
-string-token reader replaced: it builds a ``(kind, text, offset)`` tuple
-for every token and validates the graph it builds."""
+``scan_parse_penman`` at the end is the token-by-token Penman reader
+that the step-pattern reader replaced: it builds a ``(kind, text,
+offset)`` tuple for every token and validates the graph it builds."""
 
 from __future__ import annotations
 

@@ -98,6 +98,21 @@ def test_classify_prints_type(scar_files, capsys):
     assert "rule=" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flag, name", [("--p1-text", "p1"), ("--p2-text", "p2"), ("--c-text", "conclusion")]
+)
+@pytest.mark.parametrize("text", ["", " "])
+def test_classify_rejects_a_given_empty_text(scar_files, capsys, flag, name, text):
+    # Only an absent flag takes the default text; a given empty one is
+    # refused, whether or not it holds spaces.
+    code = main(
+        ["classify", "--p1", scar_files["p1"], "--p2", scar_files["p2"],
+         "--c", scar_files["c"], flag, text]
+    )
+    assert code == 2
+    assert f"{name} has an empty text" in capsys.readouterr().err
+
+
 def test_classify_json(scar_files, capsys):
     code = main(
         ["classify", "--p1", scar_files["p1"], "--p2", scar_files["p2"],

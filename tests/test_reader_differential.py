@@ -1,4 +1,4 @@
-"""The string-token Penman reader against the tuple-token reference in
+"""The step-pattern Penman reader against the tuple-token reference in
 ``tests/oracle.py``: on serialized graphs mutated by deleting and
 inserting Penman punctuation and role or symbol fragments, and by
 repeating edges, both return an equal graph, in the same node and edge
@@ -6,11 +6,12 @@ order, or raise the same exception with the same message and offset.
 Every graph the reader returns, which it builds without validating,
 passes ``validate()``.
 
-The reader reads a well-formed document in one pattern pass and hands any
-other text to its token reader. On valid Penman in hand-written layouts
-the pattern pass must not hand over, so those tests make the token reader
-raise; at each point where it must hand over, the result is the
-reference's.
+The reader reads every valid document in one pattern pass, which returns
+None on any other text; only then does ``_first_error`` walk the steps
+again to name the error. On valid Penman, in hand-written layouts and in
+odd but valid texts, ``_first_error`` must not be called, so those tests
+make it fail; on each malformed text the pattern pass returns None and
+the error is the reference's.
 
 CI runs this file a second time with ``--hypothesis-seed=0``, so a
 failure seen there reproduces with::
@@ -112,6 +113,7 @@ def test_reader_matches_tuple_token_reference(seed, edits, origin):
     text = mutate(_base(seed), edits)
     got = outcome(parse_penman, text, origin)
     assert got == outcome(scan_parse_penman, text, origin)
+    assert (penman._read(text) is None) == (got[0] == "error")
     if got[0] == "graph":
         parse_penman(text, origin).validate()
 
@@ -132,6 +134,10 @@ def test_reader_matches_tuple_token_reference(seed, edits, origin):
         "(a / b :c d)",
         "(a / b :c (b2 / e) :c b2)",
         "(a / b :c d :c (d / e))",
+        # The inner error comes first: an instance's edge is complete at
+        # its ``)``.
+        "(a / b :c d :c (d / e :f (a / x)))",
+        "(a / b :c d :c (d / e :f))",
         "(a / b :c (a / e))",
         "(1a / b)",
         "(a b)",
@@ -145,9 +151,9 @@ def test_reader_matches_reference_on_edge_cases(text):
 
 
 def no_hand_over():
-    """Make the token reader raise, so that only the pattern pass reads."""
+    """Make ``_first_error`` fail, so that only the pattern pass reads."""
     return mock.patch.object(
-        penman, "_parse", side_effect=AssertionError("handed to the token reader")
+        penman, "_first_error", side_effect=AssertionError("named an error")
     )
 
 
@@ -231,11 +237,6 @@ def test_pattern_pass_reads_hand_written_layouts(seed, origin):
 @pytest.mark.parametrize(
     "text",
     [
-        # A ``"`` that opens no closed string is a symbol: as a concept
-        # and as a target the token reader builds a graph.
-        '(a / "b)',
-        '(a / b :c "q)',
-        '(a / b :c "q :d 1)',
         # A role's token runs on through ``"``, so it takes no target.
         '(a / b :mod"x")',
         # A closed string ends its token, so ``b`` is a stray symbol.
@@ -267,6 +268,11 @@ def test_pattern_pass_hands_over_with_the_same_outcome(text):
 @pytest.mark.parametrize(
     "text",
     [
+        # A ``"`` that opens no closed string is a symbol, as a concept
+        # and as a target.
+        '(a / "b)',
+        '(a / b :c "q)',
+        '(a / b :c "q :d 1)',
         # A role whose token holds a ``"`` and takes a target after a space.
         '(a / b :mod"x" a)',
         # Tokens that need no space between them.
