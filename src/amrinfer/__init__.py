@@ -6,76 +6,68 @@ insertion, conjunction), classifies premise/premise/conclusion triples
 into a closed taxonomy of symbolic inference types, derives conclusion
 graphs forward from premises, and runs a corpus pipeline that annotates
 record files and emits inference-type-conditioned prompt pairs.
+
+Importing the package loads none of its submodules. Each public name
+below is imported from its submodule on first access (PEP 562), so a
+program that only parses Penman never loads the classifier, the
+transforms or the pipeline.
 """
 
-from .classify import (
-    ClassificationResult,
-    EntailmentTriple,
-    Evidence,
-    Statement,
-    classify,
-    is_verb,
-    lexical_signal,
-    most_similar_premise,
-    single_token_diff,
-)
-from .errors import (
-    AmrError,
-    DanglingReferenceError,
-    DuplicateRoleError,
-    GraphInvariantError,
-    InvalidSiteError,
-    MalformedTripleError,
-    MissingTypeError,
-    NoBridgeError,
-    NoConditionalError,
-    NotSingleDifferenceError,
-    PenmanSyntaxError,
-    RecordError,
-    TransformError,
-    UnknownTypeError,
-    UnsupportedTypeError,
-)
-from .graph import (
-    AmrGraph,
-    Concept,
-    Constant,
-    Edge,
-    GraphDelta,
-    apply_delta,
-    conjoin_graphs,
-    exact_isomorphic,
-    graph_difference,
-    insert_argument,
-    is_argument_role,
-    relabel_node,
-    relaxed_isomorphic,
-    relaxed_subset,
-    substitute_subgraph,
-)
-from .penman import (
-    iter_penman,
-    parse_penman,
-    read_penman_file,
-    serialize_penman,
-)
-from .pipeline import (
-    AnnotationReport,
-    CorpusRecord,
-    InjectionMode,
-    PromptRecord,
-    annotate_corpus,
-    compute_stats,
-    emit_prompts,
-    load_corpus,
-    sample_corpus_path,
-)
-from .taxonomy import TABLE_ORDER, TRANSFORMABLE_TYPES, InferenceType, lookup_type
-from .transform import (
-    HEURISTIC_TYPES,
-    TransformRequest,
-    bridge_candidates,
-    transform,
-)
+import sys
+import types
+from importlib import import_module
 
+_SUBMODULE_EXPORTS = {
+    "classify": (
+        "ClassificationResult", "EntailmentTriple", "Evidence", "Statement", "classify", "is_verb",
+        "lexical_signal", "most_similar_premise", "single_token_diff",
+    ),
+    "errors": (
+        "AmrError", "DanglingReferenceError", "DuplicateRoleError", "GraphInvariantError",
+        "InvalidSiteError", "MalformedTripleError", "MissingTypeError", "NoBridgeError",
+        "NoConditionalError", "NotSingleDifferenceError", "PenmanSyntaxError", "RecordError",
+        "TransformError", "UnknownTypeError", "UnsupportedTypeError",
+    ),
+    "graph": (
+        "AmrGraph", "Concept", "Constant", "Edge", "GraphDelta", "apply_delta", "conjoin_graphs",
+        "exact_isomorphic", "graph_difference", "insert_argument", "is_argument_role",
+        "relabel_node", "relaxed_isomorphic", "relaxed_subset", "substitute_subgraph",
+    ),
+    "penman": ("iter_penman", "parse_penman", "read_penman_file", "serialize_penman"),
+    "pipeline": (
+        "AnnotationReport", "CorpusRecord", "InjectionMode", "PromptRecord", "annotate_corpus",
+        "compute_stats", "emit_prompts", "load_corpus", "sample_corpus_path",
+    ),
+    "taxonomy": ("TABLE_ORDER", "TRANSFORMABLE_TYPES", "InferenceType", "lookup_type"),
+    "transform": ("HEURISTIC_TYPES", "TransformRequest", "bridge_candidates", "transform"),
+}
+
+# Public name -> the submodule that defines it.
+_EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items() for name in names}
+
+__all__ = list(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name: str, value) -> None:
+        # Importing a submodule binds it on its package. ``classify`` and
+        # ``transform`` name both a submodule and the function it exports:
+        # the function keeps the name, whichever is imported first.
+        if not (name in _EXPORTS and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -7,32 +7,20 @@ the requested output file.
 
 The argument parser is built once per process, on the first call of
 :func:`main`, and reused by every later call.
+
+Each command imports, when it runs, only the modules it calls: a fresh
+``amrinfer parse`` loads the Penman reader and the graph model and
+nothing of the classifier, the transforms or the pipeline.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
-from .classify import EntailmentTriple, Statement, classify
 from .errors import AmrError
 from .penman import read_penman_file, read_penman_graph, serialize_penman
-from .pipeline import (
-    InjectionMode,
-    annotate_corpus,
-    compute_stats,
-    emit_prompts,
-    evidence_payload,
-    load_corpus,
-    save_prompts,
-    save_records,
-    stats_rows,
-    tally_corpus,
-)
-from .taxonomy import lookup_type
-from .transform import TransformRequest, transform
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -52,6 +40,8 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import EntailmentTriple, Statement, classify
+
     triple = EntailmentTriple(
         p1=Statement(args.p1_text, read_penman_graph(args.p1)),
         p2=Statement(args.p2_text, read_penman_graph(args.p2)),
@@ -59,6 +49,10 @@ def _cmd_classify(args) -> int:
     )
     result = classify(triple)
     if args.format == "json":
+        import json
+
+        from .pipeline import evidence_payload
+
         payload = {
             "type": result.type.value,
             **evidence_payload(result),
@@ -79,6 +73,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from .taxonomy import lookup_type
+    from .transform import TransformRequest, transform
+
     site_hint = None
     if args.site:
         parts = args.site.split(",")
@@ -97,6 +94,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_annotate(args) -> int:
+    from .pipeline import annotate_corpus, load_corpus, save_records
+
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
     records, errors = load_corpus(args.input, strict=args.strict)
@@ -114,11 +113,15 @@ def _cmd_annotate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from .pipeline import compute_stats, load_corpus, stats_rows, tally_corpus
+
     records, errors = load_corpus(args.input)
     for error in errors:
         print(f"skipped {error}", file=sys.stderr)
     report = tally_corpus(records)
     if args.format == "json":
+        import json
+
         print(json.dumps({"rows": stats_rows(report), "total": report.total}))
     else:
         print(compute_stats(report))
@@ -126,6 +129,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_emit_prompts(args) -> int:
+    from .pipeline import InjectionMode, annotate_corpus, emit_prompts, load_corpus, save_prompts
+
     records, errors = load_corpus(args.input)
     for error in errors:
         print(f"skipped {error}", file=sys.stderr)

@@ -21,7 +21,6 @@ import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from importlib import resources
 
 from .classify import ClassificationResult, EntailmentTriple, Statement, classify
 from .errors import AmrError, MissingTypeError, RecordError
@@ -133,6 +132,8 @@ def load_corpus(
 def sample_corpus_path() -> str:
     """Path of the bundled sample corpus (one gold-labelled triple per
     observed inference type)."""
+    from importlib import resources
+
     return str(resources.files("amrinfer.data") / "sample_corpus.jsonl")
 
 
