@@ -11,11 +11,13 @@ type together with a structured trace of the rule that fired. The cascade:
 4. a conditional premise whose antecedent matches the other premise;
 5. an argument attachment in the conclusion whose material originates in
    the non-pivot premise (property inheritance / argument substitution /
-   frame substitution), unless both premises embed in the conclusion,
-   which makes it a frame conjunction; each conclusion subtree is checked
-   in place, without building it as a graph;
+   frame substitution); each conclusion subtree is checked in place,
+   without building it as a graph;
 6. both premises embedded in the conclusion, or a coordination pattern
-   (frame conjunction);
+   (frame conjunction). The embedding test runs before step 5 searches
+   for a site, since no site can overrule it: a substitution removes the
+   pivot's replaced material from the conclusion, so both premises
+   embedding is the mark of conjunction;
 7. exactly one premise embedded (argument/frame insertion): the
    conclusion nodes that the premise's embedding witness leaves unmapped
    are the insert, headed by the root when it is unmapped and otherwise
@@ -411,13 +413,16 @@ def classify(t: EntailmentTriple) -> ClassificationResult:
     # call: the pivot's here, the other's where a step first needs it.
     x_in_c = relaxed_embedding(g_x, g_c)
 
-    # 5. Non-pivot material attached inside the conclusion, unless both
-    # premises embed: substitution removes the pivot's replaced material
-    # from the conclusion, so both embedding is the mark of conjunction.
+    # 6, first half. Both premises embed: conjunction. It is decided before
+    # step 5, whose site could not overrule it, so that search is spared.
+    if x_in_c is not None:
+        other_in_c = relaxed_embedding(g_other, g_c)
+        if other_in_c is not None:
+            return result(InferenceType.FRAME_CONJ, Evidence("frame-conjunction"))
+
+    # 5. Non-pivot material attached inside the conclusion.
     site = _attachment_site(g_c, g_x, g_other)
     if site is not None:
-        if x_in_c is not None and relaxed_embedding(g_other, g_c) is not None:
-            return result(InferenceType.FRAME_CONJ, Evidence("frame-conjunction"))
         target_concept = g_c.nodes[site.target]
         witnesses = {
             "edge": (site.source, site.role, site.target),
@@ -442,10 +447,9 @@ def classify(t: EntailmentTriple) -> ClassificationResult:
             InferenceType.FRAME_SUB, Evidence("frame-substitution", witnesses)
         )
 
-    # 6. Conjunction: both premises embed, or their subjects coordinate.
-    other_in_c = relaxed_embedding(g_other, g_c)
-    if x_in_c is not None and other_in_c is not None:
-        return result(InferenceType.FRAME_CONJ, Evidence("frame-conjunction"))
+    # 6. The premises do not both embed, but their subjects coordinate.
+    if x_in_c is None:
+        other_in_c = relaxed_embedding(g_other, g_c)
     if _domain_coordination(g_c, g_x, g_other):
         return result(InferenceType.FRAME_CONJ, Evidence("domain-coordination"))
 

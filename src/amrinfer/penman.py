@@ -37,6 +37,7 @@ and a reference never defined after every other.
 
 from __future__ import annotations
 
+import codecs
 import re
 from collections.abc import Iterator
 from typing import NoReturn
@@ -364,11 +365,12 @@ def _string_end(text: str, start: int, end: int) -> int:
 
 def read_penman_text(path: str) -> str:
     r"""The text of a UTF-8 file, with ``\r\n`` and ``\r`` read as ``\n``,
-    as text mode reads them. A byte that is not UTF-8 is a
-    :class:`PenmanSyntaxError` that names the path and the line of the
-    first such byte, at the character offset where decoding stopped."""
+    as text mode reads them. A leading byte-order mark is no text. A byte
+    that is not UTF-8 is a :class:`PenmanSyntaxError` that names the path
+    and the line of the first such byte, at the character offset where
+    decoding stopped."""
     with open(path, "rb") as handle:
-        data = handle.read()
+        data = handle.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

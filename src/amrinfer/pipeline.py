@@ -102,14 +102,15 @@ def load_corpus(
 ) -> tuple[list[CorpusRecord], list[RecordError]]:
     """Read a record file. Strict mode raises the first
     :class:`RecordError`; lenient mode skips bad lines and reports them.
-    A line that is not UTF-8 is a bad line like any other."""
+    A line that is not UTF-8 is a bad line like any other; a leading
+    byte-order mark is no text."""
     records: list[CorpusRecord] = []
     errors: list[RecordError] = []
     seen_ids: set[str] = set()
     # Undecodable bytes are read as surrogate escapes, so they split into
     # lines as any text does; decoding a line's bytes again, strictly,
     # raises on the first of them.
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue

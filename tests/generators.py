@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import random
 
-from amrinfer.classify import Statement
-from amrinfer.graph import AmrGraph, Concept, Constant, Edge, stem
+from amrinfer.classify import EntailmentTriple, Statement
+from amrinfer.graph import AmrGraph, Concept, Constant, Edge, conjoin_graphs, stem
 from amrinfer.pipeline import CorpusRecord
 from amrinfer.penman import serialize_penman
 from amrinfer.taxonomy import InferenceType
@@ -483,6 +483,28 @@ def enlarged_pairs(rng: random.Random, sizes, material, *, both: bool):
             else:
                 p2 = s2.graph
             yield t, p1, p2, hint
+
+
+#: The concepts of :func:`conjoined_chains`, in chain order.
+CHAIN_CONCEPTS = ("thing", "rock", "water")
+
+
+def _chain(n: int, start: int) -> AmrGraph:
+    """An ``:ARG1`` chain of ``n`` nodes over :data:`CHAIN_CONCEPTS` in
+    turn, from the ``start``-th concept."""
+    names = [f"v{i}" for i in range(n)]
+    nodes = {v: Concept(CHAIN_CONCEPTS[(i + start) % 3]) for i, v in enumerate(names)}
+    edges = tuple(Edge(a, ":ARG1", b) for a, b in zip(names, names[1:]))
+    return AmrGraph(names[0], nodes, edges)
+
+
+def conjoined_chains(n: int) -> EntailmentTriple:
+    """Two ``n``-node chains, the second starting one concept later, and
+    their conjunction as the conclusion. Every node has a third of the
+    conclusion's nodes as same-concept candidates and only ``:ARG1`` edges
+    tell them apart. The texts tie, so premise 1 is the pivot."""
+    p1, p2 = _chain(n, 0), _chain(n, 1)
+    return EntailmentTriple(_stmt(p1), _stmt(p2), _stmt(conjoin_graphs(p1, p2)))
 
 
 def synthetic_corpus(rng: random.Random, size: int) -> list[CorpusRecord]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -11,6 +12,7 @@ from amrinfer.classify import (
     RULES,
     EntailmentTriple,
     Statement,
+    _attachment_site,
     classify,
     is_verb,
     jaccard,
@@ -20,11 +22,19 @@ from amrinfer.classify import (
     tokenize,
 )
 from amrinfer.errors import MalformedTripleError
-from amrinfer.graph import AmrGraph, Concept
+from amrinfer.graph import AmrGraph, Concept, relaxed_subset
 from amrinfer.penman import parse_penman
 from amrinfer.taxonomy import InferenceType
+from amrinfer.transform import TransformRequest, transform
 
 from tests.corpus_fixtures import premise_copy_triple, sample_triples
+from tests.generators import (
+    conjoined_chains,
+    enlarged_pairs,
+    linearize,
+    make_premises,
+    repeated_graph,
+)
 
 AMR = parse_penman
 
@@ -226,3 +236,79 @@ class TestClassifyCascade:
             result = classify(triple)
             if result.frame_insertion:
                 assert result.type is InferenceType.ARG_INS
+
+
+def _derived(p1: AmrGraph, p2: AmrGraph, type_: InferenceType) -> EntailmentTriple:
+    c = transform(TransformRequest(p1, p2, type_))
+    return EntailmentTriple(*(Statement(linearize(g), g) for g in (p1, p2, c)))
+
+
+def _repeat_shaped_conjunction() -> EntailmentTriple:
+    """A conjunction whose premises both carry a block of recurring
+    concepts, each with its own extra argument role, as the benchmark's
+    slowest conjunction records do."""
+
+    def material(r: random.Random, shape: tuple[int, int]) -> AmrGraph:
+        return repeated_graph(r, *shape)
+
+    pairs = enlarged_pairs(random.Random(3), [(9, 3)], material, both=True)
+    _, p1, p2, _ = next(p for p in pairs if p[0] is InferenceType.FRAME_CONJ)
+    return _derived(p1, p2, InferenceType.FRAME_CONJ)
+
+
+class TestConjunctionBeforeAttachment:
+    def test_site_found_but_both_premises_embed_is_conjunction(self):
+        # With premise 1 as the pivot, sand hangs off a copy of its frame,
+        # as in a substitution rock -> sand; but the conclusion keeps rock
+        # too, so both premises embed and the triple is a conjunction.
+        t = EntailmentTriple(
+            Statement(
+                "water covers rock",
+                AMR("(c / cover-01 :ARG0 (w / water) :ARG1 (r / rock))"),
+            ),
+            Statement(
+                "water covers sand",
+                AMR("(c / cover-01 :ARG0 (w / water) :ARG1 (s / sand))"),
+            ),
+            Statement(
+                "water covers rock and water covers sand",
+                AMR(
+                    "(a / and :op1 (c / cover-01 :ARG0 (w / water) :ARG1 (r / rock))"
+                    " :op2 (c2 / cover-01 :ARG0 (w2 / water) :ARG1 (s / sand)))"
+                ),
+            ),
+        )
+        g1, g2, gc = t.p1.graph, t.p2.graph, t.conclusion.graph
+        assert most_similar_premise(t) == 1
+        site = _attachment_site(gc, g1, g2)
+        assert site is not None and gc.nodes[site.target] == "sand"
+        assert relaxed_subset(g1, gc) and relaxed_subset(g2, gc)
+        result = classify(t)
+        assert result.type is InferenceType.FRAME_CONJ
+        assert result.evidence.rule == "frame-conjunction"
+
+    @pytest.mark.parametrize("shape", ["generated", "repeat"])
+    def test_conjunction_is_decided_without_an_attachment_search(self, shape):
+        if shape == "generated":
+            s1, s2, _ = make_premises(random.Random(4), InferenceType.FRAME_CONJ)
+            t = _derived(s1.graph, s2.graph, InferenceType.FRAME_CONJ)
+        else:
+            t = _repeat_shaped_conjunction()
+        refuse = AssertionError("step 5 searched a conjunction")
+        with mock.patch("amrinfer.classify._attachment_site", side_effect=refuse):
+            result = classify(t)
+        assert result.type is InferenceType.FRAME_CONJ
+        assert result.evidence.rule == "frame-conjunction"
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_conjoined_chains(self, n):
+        """Two chains over three concepts and their conjunction. The time
+        is in the containment search of the second premise, which ``classify``
+        runs either way: n = 16 takes about 70 ms on a 2-CPU x86-64 machine,
+        n = 19 about 1.7 s, and most larger n that are not multiples of 3
+        do not finish in 20 s. Those sizes wait for a search that checks
+        each edge as soon as it can (ROADMAP item 1) and are left out here."""
+        result = classify(conjoined_chains(n))
+        assert result.type is InferenceType.FRAME_CONJ
+        assert result.evidence.rule == "frame-conjunction"
+        assert result.pivot == 1

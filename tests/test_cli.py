@@ -444,6 +444,52 @@ def test_typed_records_still_have_their_amr_checked_at_load(command, tmp_path, c
             assert len(handle.readlines()) == len(lines) - 1
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("command", ["parse", "stats", "emit-prompts"])
+def test_a_leading_byte_order_mark_is_no_text(command, tmp_path, capsys):
+    # A file that starts with a UTF-8 byte-order mark gives what the file
+    # without it gives, and no line of it is skipped.
+    if command == "parse":
+        plain = tmp_path / "plain.amr"
+        plain.write_bytes(b'(r / rock\r\n  :mod (h / hard))\n\n(n / name :op1 "a")\n')
+    else:
+        plain = tmp_path / "plain.jsonl"
+        plain.write_bytes(open(sample_corpus_path(), "rb").read())
+    marked = tmp_path / f"marked{plain.suffix}"
+    marked.write_bytes(_BOM + plain.read_bytes())
+
+    def run(path):
+        out = tmp_path / "out.jsonl"
+        args = {
+            "parse": [str(path)],
+            "stats": ["--input", str(path), "--format", "json"],
+            "emit-prompts": ["--input", str(path), "--mode", "ep", "--output", str(out)],
+        }[command]
+        code = main([command, *args])
+        captured = capsys.readouterr()
+        written = out.read_bytes() if command == "emit-prompts" else b""
+        return code, captured.out, captured.err, written
+
+    got = run(marked)
+    assert got == run(plain)
+    code, out, err, written = got
+    assert code == 0 and "skipped" not in err
+    if command == "stats":
+        assert json.loads(out)["total"] == 11
+    if command == "emit-prompts":
+        assert len(written.splitlines()) == 11
+
+
+def test_load_corpus_strict_reads_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "marked.jsonl"
+    path.write_bytes(_BOM + open(sample_corpus_path(), "rb").read())
+    records, errors = load_corpus(str(path), strict=True)
+    assert records == load_corpus(sample_corpus_path(), strict=True)[0]
+    assert not errors
+
+
 def test_annotate_strict_stops_at_a_non_utf8_line(non_utf8_records, tmp_path, capsys):
     out = str(tmp_path / "out.jsonl")
     args = ["--input", non_utf8_records, "--output", out, "--strict"]
