@@ -11,6 +11,13 @@ Importing the package loads none of its submodules. Each public name
 below is imported from its submodule on first access (PEP 562), so a
 program that only parses Penman never loads the classifier, the
 transforms or the pipeline.
+
+``amrinfer.classify`` and ``amrinfer.transform`` are the functions, not
+the submodules that define them. Patch a name inside either submodule
+with ``mock.patch("amrinfer.classify._name")``, which imports the
+submodule, or through ``sys.modules["amrinfer.classify"]``; pytest's
+``monkeypatch.setattr`` with that dotted string reaches the function by
+attribute and raises ``AttributeError``.
 """
 
 import sys

@@ -14,12 +14,19 @@ classes that drive every comparison in the package:
 
 Relaxed containment, relaxed equivalence and exact isomorphism are one
 embedding search, :func:`_embed`; each caller chooses the edges to keep
-and may pin the root. A node's candidates are the other graph's nodes of
-its concept, so the search first counts: each concept must occur in the
-other graph at least as often. It then searches only the nodes that a
-kept edge touches. Every other node is counted, not searched, since any
-free partner of its concept will do. The search runs on an explicit
-stack, so its depth is not bounded by Python's recursion limit.
+and may pin the root. A node maps onto a node of its concept, so the
+search first counts: each concept must occur in the other graph at least
+as often. It then assigns only the nodes that a kept edge touches. Every
+other node is counted, not searched, since any free partner of its
+concept will do. Of the touched nodes, those with one candidate (a pinned
+root, or a concept that occurs once in the other graph) are settled in
+one pass, which checks the edges among them. The rest are searched in
+the order the edges first touch them, and a node first reached along an
+edge draws its candidates from the edges of its neighbour's partner
+(after VF2++, Jüttner and Madarasi, 2018, and RI, Bonnici et al., 2013),
+not from its whole concept bucket, so an edge prunes as soon as it is
+reached. The search runs on an explicit stack, so its depth is not
+bounded by Python's recursion limit.
 
 :func:`relaxed_subset_at` asks whether the subtree at a node, as
 :meth:`AmrGraph.subgraph_at` would build it, relaxed-embeds in another
@@ -41,9 +48,11 @@ decide containment.
 That search and the difference alignment file every edge under whichever
 endpoint they assign later, so each edge is checked once, as a plain
 ``(source, role, target)`` tuple against the other graph's edge set, when
-its last endpoint is assigned. Both read the other graph's match index
-(concept buckets, edge set, argument edges), which each graph builds on
-first use and keeps.
+its last endpoint is assigned; the search skips the edge that drew a
+node's candidates, which every candidate already carries. Both read the
+other graph's match index (concept buckets, edge set, argument edges),
+which each graph builds on first use and keeps, and the search also reads
+its out-edge index.
 
 The difference alignment, :func:`graph_difference` with its replay
 :func:`apply_delta`, is a library function that the pipeline does not
@@ -359,56 +368,116 @@ def _embed(
     ``b``, or None when there is none; ``root``, when given, is the only
     candidate for ``a``'s root.
 
-    Only the nodes that ``edges`` touch, and a pinned root, are searched,
+    Only the nodes that ``edges`` touch, and a pinned root, are assigned,
     and only they are in the witness: every other node just needs a free
-    partner in its concept bucket. Candidates are whole buckets, so Hall's
-    condition for the unsearched nodes is the check, made first, that each
-    concept occurs in ``b`` at least as often as in ``a``; every witness
-    for the searched nodes then completes (see :func:`_search` and
-    :func:`relaxed_embedding`)."""
+    partner in its concept bucket. Hall's condition for those nodes is the
+    check, made first, that each concept occurs in ``b`` at least as often
+    as in ``a``; every witness for the searched nodes then completes (see
+    :func:`_search` and :func:`relaxed_embedding`)."""
     have = b._buckets
     for label, vs in a._buckets.items():
         if len(have.get(label, ())) < len(vs):
             return None
     labels = a.nodes
-    candidates: dict[NodeId, Sequence[NodeId]] = {}
-    if root is not None:
-        if labels[a.root] != b.nodes[root]:
-            return None
-        candidates[a.root] = (root,)
-    return _search(labels, b, edges, candidates)
+    if root is None:
+        return _search(labels, b, edges, {})
+    if labels[a.root] != b.nodes[root]:
+        return None
+    return _search(labels, b, edges, {a.root: root})
 
 
 def _search(
     labels: dict[NodeId, Concept],
     b: AmrGraph,
     edges: Sequence[Edge],
-    candidates: dict[NodeId, Sequence[NodeId]],
+    assign: dict[NodeId, NodeId],
 ) -> dict[NodeId, NodeId] | None:
     """The search behind :func:`_embed`, once the concepts are counted:
     an injective map of the nodes that ``edges`` touch, each labelled by
     ``labels``, onto same-concept nodes of ``b`` under which every edge
-    lands on an edge of ``b``, or None. With no node to search the map
-    is ``{}``, which is a witness, so callers test ``is not None``.
-    ``candidates`` holds any node already pinned; every other node's
-    candidates are its concept's bucket. The search takes the
-    most-constrained node first, first touch breaking ties, and runs on
-    an explicit stack that keeps one candidate iterator per depth."""
-    have = b._buckets
-    for s, _, t in edges:
-        if s not in candidates:
-            candidates[s] = have[labels[s]]
-        if not isinstance(t, Constant) and t not in candidates:
-            candidates[t] = have[labels[t]]
-    order = sorted(candidates, key=lambda v: len(candidates[v]))
+    lands on an edge of ``b``, or None. With no edge and nothing pinned
+    the map is ``{}``, which is a witness, so callers test ``is not None``.
+    ``assign`` holds any node already pinned, and the search fills it in.
+
+    One pass over ``edges`` settles every node with a single candidate,
+    a pinned node or one whose concept occurs once in ``b``, and checks
+    each edge between two settled nodes; one set then checks that the
+    settled partners are distinct. The other nodes are searched in the
+    order the edges first touch them, with no sort. A node first touched
+    as the target of an edge ``(u, role, v)`` takes as candidates the
+    targets of the ``role`` out-edges of ``u``'s partner that carry
+    ``v``'s concept, read off ``b``'s out-edge index; every candidate
+    carries that edge, so it is not checked again. A node first touched
+    as a source takes its concept's bucket. Every other edge is filed
+    under whichever endpoint is searched later and checked once, as a
+    plain ``(source, role, target)`` tuple against ``b``'s edge set, when
+    that endpoint is assigned. The search runs on an explicit stack that
+    keeps one candidate iterator per depth."""
+    have, keys = b._buckets, b._edge_set
+    # Searched nodes by depth; a settled node sits at position -1.
+    position = dict.fromkeys(assign, -1)
+    order: list[NodeId] = []
+    # Per depth: the concept bucket, or the (u, role, concept) of the edge
+    # whose images in ``b`` are the candidates.
+    draws: list[list[NodeId] | tuple[NodeId, str, Concept]] = []
+    filed: list[list[tuple]] = []
+    for s, role, t in edges:
+        i = position.get(s)
+        if i is None:
+            bucket = have[labels[s]]
+            if len(bucket) == 1:
+                assign[s] = bucket[0]
+                i = position[s] = -1
+            else:
+                i = position[s] = len(order)
+                order.append(s)
+                draws.append(bucket)
+                filed.append([])
+        if isinstance(t, Constant):
+            if i >= 0:
+                filed[i].append((s, role, t, True))
+            elif (assign[s], role, t) not in keys:
+                return None
+            continue
+        j = position.get(t)
+        if j is None:
+            label = labels[t]
+            bucket = have[label]
+            if len(bucket) == 1:
+                assign[t] = bucket[0]
+                j = position[t] = -1
+            else:
+                position[t] = len(order)
+                order.append(t)
+                draws.append((s, role, label))
+                filed.append([])
+                continue  # this edge draws t's candidates: none to check
+        if i < j:
+            i = j
+        if i >= 0:
+            filed[i].append((s, role, t, False))
+        elif (assign[s], role, assign[t]) not in keys:
+            return None
+    used = set(assign.values())
+    if len(used) < len(assign):
+        return None
     if not order:
-        return {}
-    filed = _file_edges(order, edges)
-    keys = b._edge_set
-    assign: dict[NodeId, NodeId] = {}
-    used: set[NodeId] = set()
+        return assign
+    out, b_edges, b_labels = b._out, b.edges, b.nodes
+
+    def candidates(depth: int) -> Iterator[NodeId]:
+        draw = draws[depth]
+        if type(draw) is list:  # a concept bucket
+            return iter(draw)
+        u, role, label = draw
+        return iter([
+            e[2]
+            for k in out.get(assign[u], ())
+            if (e := b_edges[k])[1] == role and b_labels.get(e[2]) == label
+        ])
+
     last = len(order) - 1
-    tries = [iter(candidates[order[0]])]
+    tries = [candidates(0)]
     while tries:
         depth = len(tries) - 1
         v = order[depth]
@@ -430,7 +499,7 @@ def _search(
         if depth == last:
             return assign
         used.add(w)
-        tries.append(iter(candidates[order[depth + 1]]))
+        tries.append(candidates(depth + 1))
     return None
 
 

@@ -160,19 +160,22 @@ def linearize(g: AmrGraph) -> str:
     """Pseudo-text for a graph: concept stems in first-occurrence
     serialization order. The generated corpora use it for premises and
     conclusions alike, so the token-level checks in the classifier see
-    commensurable sentences."""
-    order: list[str] = []
-    visited: set[str] = set()
-
-    def visit(node: str) -> None:
-        visited.add(node)
-        order.append(stem(g.nodes[node]))
-        for e in g.edges:
-            if e.source == node and not isinstance(e.target, Constant):
-                if e.target not in visited:
-                    visit(e.target)
-
-    visit(g.root)
+    commensurable sentences. The walk is depth-first along each node's
+    out-edges in stored order, on an explicit stack of edge iterators, so
+    a deep graph does not meet Python's recursion limit."""
+    order = [stem(g.nodes[g.root])]
+    visited = {g.root}
+    stack = [iter(g.outgoing(g.root))]
+    while stack:
+        for e in stack[-1]:
+            target = e.target
+            if not isinstance(target, Constant) and target not in visited:
+                visited.add(target)
+                order.append(stem(g.nodes[target]))
+                stack.append(iter(g.outgoing(target)))
+                break
+        else:
+            stack.pop()
     return " ".join(order)
 
 

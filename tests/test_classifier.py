@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -29,6 +30,7 @@ from amrinfer.transform import TransformRequest, transform
 
 from tests.corpus_fixtures import premise_copy_triple, sample_triples
 from tests.generators import (
+    CHAIN_CONCEPTS,
     conjoined_chains,
     enlarged_pairs,
     linearize,
@@ -300,15 +302,29 @@ class TestConjunctionBeforeAttachment:
         assert result.type is InferenceType.FRAME_CONJ
         assert result.evidence.rule == "frame-conjunction"
 
-    @pytest.mark.parametrize("n", [12, 16])
+    @pytest.mark.parametrize("n", [12, 16, 19, 22, 40, 100])
     def test_conjoined_chains(self, n):
-        """Two chains over three concepts and their conjunction. The time
-        is in the containment search of the second premise, which ``classify``
-        runs either way: n = 16 takes about 70 ms on a 2-CPU x86-64 machine,
-        n = 19 about 1.7 s, and most larger n that are not multiples of 3
-        do not finish in 20 s. Those sizes wait for a search that checks
-        each edge as soon as it can (ROADMAP item 1) and are left out here."""
-        result = classify(conjoined_chains(n))
+        """Two chains over three concepts and their conjunction. Every
+        chain node has a third of the conclusion's nodes as same-concept
+        candidates, and only the ``:ARG1`` edges tell them apart. The
+        containment search reaches each chain node along its edge and
+        draws its candidates from its neighbour's partner, so the call is
+        fast at every n: n = 100 takes about 1 ms on a 2-CPU x86-64
+        machine. A search that drew every candidate from the concept
+        bucket and reached the edges late took 1.7 s at n = 19 and did
+        not finish n = 22 in 20 s."""
+        t = conjoined_chains(n)
+        start = time.process_time()
+        result = classify(t)
+        assert time.process_time() - start < 1.0
         assert result.type is InferenceType.FRAME_CONJ
         assert result.evidence.rule == "frame-conjunction"
         assert result.pivot == 1
+
+    def test_chain_texts_past_the_recursion_limit(self):
+        # ``linearize`` walks on an explicit stack: a 1000-node chain is
+        # deeper than Python's default recursion limit.
+        t = conjoined_chains(1000)
+        assert t.p1.text.split() == [CHAIN_CONCEPTS[i % 3] for i in range(1000)]
+        assert t.p2.text.split() == [CHAIN_CONCEPTS[(i + 1) % 3] for i in range(1000)]
+        assert t.conclusion.text == f"and {t.p1.text} {t.p2.text}"

@@ -33,7 +33,7 @@ from amrinfer.graph import (
     relaxed_embedding,
 )
 
-from tests.generators import ORACLE_CONCEPTS, layered_graph, random_graph
+from tests.generators import ORACLE_CONCEPTS, ORACLE_ROLES, layered_graph, random_graph
 from tests.oracle import (
     brute_subset,
     scan_exact_alignment,
@@ -195,19 +195,77 @@ def test_exact_isomorphic_agrees_with_networkx(seed_a, seed_b, related):
     assert exact_isomorphic(a, b) == matcher.is_isomorphic()
 
 
+def test_a_searched_node_never_takes_the_pinned_roots_partner():
+    # A two-cycle against a self-loop: same node, edge and concept counts.
+    # The root is pinned onto ``R``, and ``x`` draws ``R`` and ``X`` from
+    # ``R``'s :ARG0 edges; mapping ``x`` onto ``R`` too would carry both
+    # edges onto the self-loop.
+    a = AmrGraph(
+        "r",
+        {"r": Concept("thing"), "x": Concept("thing")},
+        (Edge("r", ":ARG0", "x"), Edge("x", ":ARG0", "r")),
+    )
+    b = AmrGraph(
+        "R",
+        {"R": Concept("thing"), "X": Concept("thing")},
+        (Edge("R", ":ARG0", "R"), Edge("R", ":ARG0", "X")),
+    )
+    assert not exact_isomorphic(a, b)
+    assert exact_isomorphic(a, a) and exact_isomorphic(b, b)
+
+
 # ---------------------------------------------------------------------------
 # The containment witness against the brute-force oracle
 # ---------------------------------------------------------------------------
 
-# The oracle's five concepts, and three of them, where nodes share
-# candidates and more pairs embed.
-_ALPHABETS = (ORACLE_CONCEPTS, ORACLE_CONCEPTS[:3])
+# The oracle's five concepts, three of them, where nodes share candidates
+# and more pairs embed, and two, where nearly every node has several
+# candidates and most are drawn from a neighbour's partner.
+_ALPHABETS = (ORACLE_CONCEPTS, ORACLE_CONCEPTS[:3], ORACLE_CONCEPTS[:2])
 
 
-def _oracle_graph(seed: int, max_nodes: int, alphabet: tuple[str, ...]) -> AmrGraph:
-    return random_graph(
-        random.Random(seed), max_nodes, alphabet, constants=True, argument_constants=True
-    )
+def _oracle_graph(
+    seed: int, max_nodes: int, alphabet: tuple[str, ...], shuffled: bool = False
+) -> AmrGraph:
+    """A random graph; ``shuffled`` puts its edges in a random order, so
+    a child's edges may come before its parent's and a node's out-edges
+    of one argument role come in any order."""
+    rng = random.Random(seed)
+    g = random_graph(rng, max_nodes, alphabet, constants=True, argument_constants=True)
+    if not shuffled:
+        return g
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    return AmrGraph(g.root, dict(g.nodes), tuple(edges))
+
+
+def _grown(g: AmrGraph, seed: int, alphabet: tuple[str, ...]) -> AmrGraph:
+    """``g`` renamed, with one to three new nodes of ``alphabet`` hung
+    under random nodes, its edges shuffled, and sometimes one edge's role
+    redrawn: an outer graph that ``g`` often embeds in, where a new node
+    may compete with an old sibling of the same role and concept and come
+    first among its parent's out-edges."""
+    rng = random.Random(seed)
+    names = list(g.nodes)
+    fresh = dict(zip(names, rng.sample([f"w{i}" for i in range(len(names))], len(names))))
+    nodes = {fresh[n]: c for n, c in g.nodes.items()}
+    edges = [
+        Edge(fresh[s], role, t if isinstance(t, Constant) else fresh[t]) for s, role, t in g.edges
+    ]
+    for i in range(rng.randint(1, 3)):
+        parent = rng.choice(list(nodes))
+        nodes[f"n{i}"] = Concept(rng.choice(alphabet))
+        edges.append(Edge(parent, rng.choice(ORACLE_ROLES), f"n{i}"))
+    if rng.random() < 0.3:
+        i = rng.randrange(len(edges))
+        edges[i] = edges[i]._replace(role=rng.choice(ORACLE_ROLES))
+    rng.shuffle(edges)
+    # A redrawn role may duplicate another edge; keep one of the two.
+    return AmrGraph(fresh[g.root], nodes, tuple(dict.fromkeys(edges)))
+
+
+def _outer(seed: int, inner: AmrGraph, alphabet: tuple[str, ...], grown: bool) -> AmrGraph:
+    return _grown(inner, seed, alphabet) if grown else _oracle_graph(seed, 8, alphabet)
 
 
 def _assert_witness(inner: AmrGraph, outer: AmrGraph) -> bool:
@@ -230,21 +288,24 @@ def _assert_witness(inner: AmrGraph, outer: AmrGraph) -> bool:
     return True
 
 
-@given(_seeds, _seeds, st.sampled_from(_ALPHABETS))
+@given(_seeds, _seeds, st.sampled_from(_ALPHABETS), st.booleans(), st.booleans())
 @settings(max_examples=400, deadline=None)
-def test_witness_agrees_with_oracle(seed_inner, seed_outer, alphabet):
-    _assert_witness(
-        _oracle_graph(seed_inner, 5, alphabet), _oracle_graph(seed_outer, 8, alphabet)
-    )
+def test_witness_agrees_with_oracle(seed_inner, seed_outer, alphabet, shuffled, grown):
+    inner = _oracle_graph(seed_inner, 5, alphabet, shuffled)
+    _assert_witness(inner, _outer(seed_outer, inner, alphabet, grown))
 
 
 def test_witness_agrees_with_oracle_on_a_fixed_sample():
-    # A fixed sample wide enough to see both outcomes from each alphabet.
+    # A fixed sample wide enough to see both outcomes from each alphabet,
+    # with the inner graph's edges in stored and in shuffled order, into
+    # random outer graphs and into outer graphs grown from the inner one.
     rng = random.Random(3)
-    for alphabet in _ALPHABETS:
-        embeds = 0
-        for _ in range(1500):
-            inner = _oracle_graph(rng.randrange(10**9), 5, alphabet)
-            outer = _oracle_graph(rng.randrange(10**9), 8, alphabet)
-            embeds += _assert_witness(inner, outer)
-        assert 0 < embeds < 1500
+    for grown in (False, True):
+        for shuffled in (False, True):
+            for alphabet in _ALPHABETS:
+                embeds = 0
+                for _ in range(1500):
+                    inner = _oracle_graph(rng.randrange(10**9), 5, alphabet, shuffled)
+                    outer = _outer(rng.randrange(10**9), inner, alphabet, grown)
+                    embeds += _assert_witness(inner, outer)
+                assert 0 < embeds < 1500, (alphabet, shuffled, grown, embeds)
