@@ -10,7 +10,9 @@ record files and emits inference-type-conditioned prompt pairs.
 Importing the package loads none of its submodules. Each public name
 below is imported from its submodule on first access (PEP 562), so a
 program that only parses Penman never loads the classifier, the
-transforms or the pipeline.
+transforms or the pipeline. The graph value lives in ``amrinfer.amr``,
+apart from the matcher in ``amrinfer.graph``, so a parse loads neither
+the matcher nor ``dataclasses``.
 
 ``amrinfer.classify`` and ``amrinfer.transform`` are the functions, not
 the submodules that define them. Patch a name inside either submodule
@@ -35,10 +37,11 @@ _SUBMODULE_EXPORTS = {
         "NoConditionalError", "NotSingleDifferenceError", "PenmanSyntaxError", "RecordError",
         "TransformError", "UnknownTypeError", "UnsupportedTypeError",
     ),
+    "amr": ("AmrGraph", "Concept", "Constant", "Edge", "is_argument_role"),
     "graph": (
-        "AmrGraph", "Concept", "Constant", "Edge", "GraphDelta", "apply_delta", "conjoin_graphs",
-        "exact_isomorphic", "graph_difference", "insert_argument", "is_argument_role",
-        "relabel_node", "relaxed_isomorphic", "relaxed_subset", "substitute_subgraph",
+        "GraphDelta", "apply_delta", "conjoin_graphs", "exact_isomorphic", "graph_difference",
+        "insert_argument", "relabel_node", "relaxed_isomorphic", "relaxed_subset",
+        "substitute_subgraph",
     ),
     "penman": ("iter_penman", "parse_penman", "read_penman_file", "serialize_penman"),
     "pipeline": (

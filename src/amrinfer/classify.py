@@ -12,7 +12,8 @@ type together with a structured trace of the rule that fired. The cascade:
 5. an argument attachment in the conclusion whose material originates in
    the non-pivot premise (property inheritance / argument substitution /
    frame substitution); each conclusion subtree is checked in place,
-   without building it as a graph;
+   without building it as a graph, and none inside a subtree that
+   embeds in both premises is checked at all;
 6. both premises embedded in the conclusion, or a coordination pattern
    (frame conjunction). The embedding test runs before step 5 searches
    for a site, since no site can overrule it: a substitution removes the
@@ -249,13 +250,20 @@ def _attachment_site(
     edges only count when the target's head concept anchors in the pivot
     (a replaced argument), which separates substitution from a fresh
     :domain link. Each subtree is checked in place, against the non-pivot
-    premise first; most fail at once, on a concept that premise lacks."""
+    premise first; most fail at once, on a concept that premise lacks.
+
+    Containment pins no root, so every subtree inside one that embeds in
+    the pivot embeds there too and cannot be a site. Once a target's
+    subtree embeds in both premises, its closure is covered, and no edge
+    into a covered node is checked: a chain is checked once, not once
+    per edge."""
     cx = g_x.concepts()
     cother = g_other.concepts()
     labels = g_c.nodes
+    covered: set[NodeId] = set()
     for e in g_c.edges:
         target = e.target
-        if isinstance(target, Constant):
+        if isinstance(target, Constant) or target in covered:
             continue
         src = labels[e.source]
         if src in ("and", "or"):
@@ -264,10 +272,11 @@ def _attachment_site(
             continue
         if not (e.is_argument or labels[target] in cx):
             continue
-        if relaxed_subset_at(g_c, target, g_other) and not relaxed_subset_at(
-            g_c, target, g_x
-        ):
+        if not relaxed_subset_at(g_c, target, g_other):
+            continue
+        if not relaxed_subset_at(g_c, target, g_x):
             return e
+        covered.update(g_c.closure(target))
     return None
 
 

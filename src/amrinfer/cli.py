@@ -9,8 +9,9 @@ The argument parser is built once per process, on the first call of
 :func:`main`, and reused by every later call.
 
 Each command imports, when it runs, only the modules it calls: a fresh
-``amrinfer parse`` loads the Penman reader and the graph model and
-nothing of the classifier, the transforms or the pipeline.
+``amrinfer parse`` loads the Penman reader and the graph value
+(``amrinfer.amr``) and nothing of the matcher, the classifier, the
+transforms or the pipeline.
 """
 
 from __future__ import annotations

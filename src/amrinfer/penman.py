@@ -43,7 +43,7 @@ from collections.abc import Iterator
 from typing import NoReturn
 
 from .errors import DanglingReferenceError, PenmanSyntaxError
-from .graph import AmrGraph, Concept, Constant, Edge, NodeId
+from .amr import AmrGraph, Concept, Constant, Edge, NodeId
 
 _STRING = r'"(?:[^"\\]|\\.)*"'
 # One alternative per token kind, tried in this order: ``(``, ``)``,

@@ -8,8 +8,8 @@ injected into prompts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import UnknownTypeError
 
@@ -41,8 +41,7 @@ class InferenceType(Enum):
         return _INFO[self].transformable
 
 
-@dataclass(frozen=True)
-class _TypeInfo:
+class _TypeInfo(NamedTuple):
     display_name: str
     expected_proportion: float | None
     transformable: bool

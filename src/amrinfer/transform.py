@@ -17,7 +17,7 @@ exists for it); see :data:`HEURISTIC_TYPES`.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DuplicateRoleError,
@@ -45,8 +45,7 @@ from .taxonomy import InferenceType
 HEURISTIC_TYPES = frozenset({InferenceType.IFT})
 
 
-@dataclass(frozen=True)
-class TransformRequest:
+class TransformRequest(NamedTuple):
     p1: AmrGraph
     p2: AmrGraph
     type: InferenceType

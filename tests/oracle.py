@@ -169,7 +169,9 @@ def scan_attachment_site(g_c: AmrGraph, g_x: AmrGraph, g_other: AmrGraph):
     """Classifier step 5 as it was before each subtree was checked in
     place: every candidate edge's target subtree is built as a graph by
     ``subgraph_at`` and tested with ``relaxed_subset``, against the
-    non-pivot premise and then the pivot."""
+    non-pivot premise and then the pivot. It checks every candidate edge:
+    no subtree is skipped for lying inside one that embeds in both
+    premises."""
     cx = g_x.concepts()
     cother = g_other.concepts()
     for e in g_c.edges:

@@ -150,9 +150,9 @@ print(json.dumps(loaded))
         (
             "parse",
             {"amrinfer.classify", "amrinfer.pipeline", "amrinfer.transform", "amrinfer.taxonomy",
-             "json", "importlib.resources"},
+             "amrinfer.graph", "dataclasses", "json", "importlib.resources"},
         ),
-        ("transform", {"amrinfer.classify", "amrinfer.pipeline"}),
+        ("transform", {"amrinfer.classify", "amrinfer.pipeline", "dataclasses"}),
     ],
 )
 def test_a_cold_start_loads_only_what_its_command_runs(command, unloaded, files):
