@@ -29,7 +29,6 @@ from importlib import import_module
 _SUBMODULE_EXPORTS = {
     "classify": (
         "ClassificationResult", "EntailmentTriple", "Evidence", "Statement", "classify", "is_verb",
-        "lexical_signal", "most_similar_premise", "single_token_diff",
     ),
     "errors": (
         "AmrError", "DanglingReferenceError", "DuplicateRoleError", "GraphInvariantError",
@@ -48,8 +47,8 @@ _SUBMODULE_EXPORTS = {
         "AnnotationReport", "CorpusRecord", "InjectionMode", "PromptRecord", "annotate_corpus",
         "compute_stats", "emit_prompts", "load_corpus", "sample_corpus_path",
     ),
-    "taxonomy": ("TABLE_ORDER", "TRANSFORMABLE_TYPES", "InferenceType", "lookup_type"),
-    "transform": ("HEURISTIC_TYPES", "TransformRequest", "bridge_candidates", "transform"),
+    "taxonomy": ("TABLE_ORDER", "InferenceType", "lookup_type"),
+    "transform": ("TRANSFORMABLE_TYPES", "TransformRequest", "bridge_candidates", "transform"),
 }
 
 # Public name -> the submodule that defines it.

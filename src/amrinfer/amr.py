@@ -119,9 +119,9 @@ class AmrGraph:
 
     Node order (dict insertion order) and edge order are part of the value;
     they fix serialization and tie-breaking everywhere else. Two graphs
-    are equal when their root, nodes and edges are; a graph is unhashable,
-    since its nodes are a dict, and its attributes cannot be set or
-    deleted.
+    are equal when their roots, their nodes in order and their edges in
+    order are; a graph is unhashable, since its nodes are a dict, and its
+    attributes cannot be set or deleted.
 
     A graph is checked once, when it is built, and trusted after that:
     nothing checks it again, so its ``nodes`` dict must not be changed
@@ -188,7 +188,12 @@ class AmrGraph:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.root, self.nodes, self.edges) == (other.root, other.nodes, other.edges)
+        # Node order is part of the value, so the nodes compare in order.
+        return (
+            self.root == other.root
+            and self.edges == other.edges
+            and list(self.nodes.items()) == list(other.nodes.items())
+        )
 
     # A graph holds a dict, so it has no hash.
     __hash__ = None

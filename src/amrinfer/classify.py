@@ -149,25 +149,15 @@ def jaccard(a: list[str], b: list[str]) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def most_similar_premise(t: EntailmentTriple) -> int:
-    """Index (1 or 2) of the premise closest to the conclusion by token
-    Jaccard similarity; ties go to premise 1."""
-    return _pivot(
-        tokenize(t.p1.text), tokenize(t.p2.text), tokenize(t.conclusion.text)
-    )
-
-
 def _pivot(w1: list[str], w2: list[str], wc: list[str]) -> int:
+    """Index (1 or 2) of the premise whose words are closest to the
+    conclusion's by Jaccard similarity; ties go to premise 1."""
     return 2 if jaccard(w2, wc) > jaccard(w1, wc) else 1
 
 
-def single_token_diff(a: str, b: str) -> tuple[str, str] | None:
-    """The single differing word pair between two sentences, if the token
-    sequences have equal length and differ at exactly one position."""
-    return _word_diff(tokenize(a), tokenize(b))
-
-
 def _word_diff(ta: list[str], tb: list[str]) -> tuple[str, str] | None:
+    """The single differing word pair, if the word lists have equal
+    length and differ at exactly one position."""
     if len(ta) != len(tb):
         return None
     diffs = [(x, y) for x, y in zip(ta, tb) if x != y]
@@ -214,17 +204,11 @@ def _has_signal_conditional(g: AmrGraph, words: list[str]) -> bool:
     return "if" in words and "then" in words
 
 
-def lexical_signal(t: EntailmentTriple) -> InferenceType | None:
-    """EXAMPLE / IFT when the conclusion carries the signal and neither
-    premise does. EXAMPLE is checked first."""
-    return _lexical_signal(
-        t, tokenize(t.p1.text), tokenize(t.p2.text), tokenize(t.conclusion.text)
-    )
-
-
 def _lexical_signal(
     t: EntailmentTriple, w1: list[str], w2: list[str], wc: list[str]
 ) -> InferenceType | None:
+    """EXAMPLE / IFT when the conclusion carries the signal and neither
+    premise does. EXAMPLE is checked first."""
     g1, g2, gc = t.p1.graph, t.p2.graph, t.conclusion.graph
     if (
         _has_signal_example(gc, wc)

@@ -322,31 +322,17 @@ def emit_prompts(
     preserved."""
     out = []
     for record in records:
-        pair = f"{record.p1_text} {SEPARATOR} {record.p2_text}"
-        if mode is InjectionMode.NONE:
-            prompt = PromptRecord(pair, record.c_text, mode)
-        else:
-            name = _record_type(record).display_name
+        source = f"{record.p1_text} {SEPARATOR} {record.p2_text}"
+        target = record.c_text
+        if mode is not InjectionMode.NONE:
+            phrase = TYPE_PHRASE + _record_type(record).display_name
             if mode is InjectionMode.EP:
-                prompt = PromptRecord(
-                    f"{TYPE_PHRASE}{name} {SEPARATOR} {record.p1_text} "
-                    f"{SEPARATOR} {record.p2_text}",
-                    record.c_text,
-                    mode,
-                )
+                source = f"{phrase} {SEPARATOR} {source}"
             elif mode is InjectionMode.DP:
-                prompt = PromptRecord(
-                    pair,
-                    f"{SEPARATOR} {TYPE_PHRASE}{name}. {record.c_text}",
-                    mode,
-                )
+                target = f"{SEPARATOR} {phrase}. {target}"
             else:
-                prompt = PromptRecord(
-                    pair,
-                    f"{SEPARATOR} {record.c_text}. {TYPE_PHRASE}{name}",
-                    mode,
-                )
-        out.append(prompt)
+                target = f"{SEPARATOR} {target}. {phrase}"
+        out.append(PromptRecord(source, target, mode))
     return out
 
 

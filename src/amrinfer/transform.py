@@ -8,10 +8,11 @@ and re-attaches it; conjunction joins the premises under ``and``; the
 conditional type binds a rule's antecedent against the other premise and
 emits the consequent. When several sites qualify the one with the largest
 bridge subgraph wins (ties break lexicographically), and ``site_hint``
-overrides the automatic choice.
+overrides the automatic choice: ARG-SUB, FRAME-SUB and ARG-INS read it,
+and the other types ignore it.
 
-The if/then wrapping is a heuristic (no faithful graph transformation
-exists for it); see :data:`HEURISTIC_TYPES`.
+The if/then wrapping is a heuristic, a best-effort convention rather than
+a definition: no faithful graph transformation exists for it.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ from .graph import (
     substitute_subgraph,
 )
 from .taxonomy import InferenceType
-
-#: Types whose transformation is a best-effort convention rather than a
-#: definition.
-HEURISTIC_TYPES = frozenset({InferenceType.IFT})
 
 
 class TransformRequest(NamedTuple):
@@ -167,15 +164,18 @@ def _pred_sub(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
 
 
 def _frame_sub(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
-    for n1, n2, _ in bridge_candidates(p1, p2):
-        if hint is not None and (n1, n2) != tuple(hint):
-            continue
-        for host, site, donor in ((p1, n1, p2), (p2, n2, p1)):
-            if site == host.root:
+    # Only a predicate-rooted premise can be the donor: without one no
+    # bridge qualifies, so none is built.
+    if is_predicate(p1.nodes[p1.root]) or is_predicate(p2.nodes[p2.root]):
+        for n1, n2, _ in bridge_candidates(p1, p2):
+            if hint is not None and (n1, n2) != tuple(hint):
                 continue
-            if not is_predicate(donor.nodes[donor.root]):
-                continue
-            return substitute_subgraph(host, site, donor)
+            for host, site, donor in ((p1, n1, p2), (p2, n2, p1)):
+                if site == host.root:
+                    continue
+                if not is_predicate(donor.nodes[donor.root]):
+                    continue
+                return substitute_subgraph(host, site, donor)
     raise NoBridgeError(
         "frame substitution needs a shared concept in argument position "
         "and a predicate-rooted donor premise"
@@ -423,3 +423,6 @@ _HANDLERS = {
     InferenceType.ARG_SUB_PROP: _made_of,
     InferenceType.IFT: _ift,
 }
+
+#: Types with a forward transformation: the keys of the handler table.
+TRANSFORMABLE_TYPES: frozenset[InferenceType] = frozenset(_HANDLERS)

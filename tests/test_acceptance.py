@@ -46,7 +46,7 @@ from amrinfer.pipeline import (
     save_records,
 )
 from amrinfer.taxonomy import InferenceType
-from amrinfer.transform import TransformRequest, transform
+from amrinfer.transform import TRANSFORMABLE_TYPES, TransformRequest, transform
 
 from tests.corpus_fixtures import sample_records, sample_triples
 from tests.generators import (
@@ -107,9 +107,7 @@ def test_criterion_2_round_trip_property():
     start = time.perf_counter()
     failures: dict[InferenceType, list[str]] = {}
     all_ok = True
-    for type_ in sorted(ROUND_TRIP_SLACK.keys() | set(
-        t for t in InferenceType if t.transformable
-    ), key=lambda t: t.value):
+    for type_ in sorted(ROUND_TRIP_SLACK.keys() | TRANSFORMABLE_TYPES, key=lambda t: t.value):
         hits = attempts = 0
         mistakes: list[str] = []
         while attempts < PER_TYPE_PAIRS:

@@ -16,8 +16,9 @@ from amrinfer.classify import (
     EntailmentTriple,
     Statement,
     _attachment_site,
+    _pivot,
     classify,
-    most_similar_premise,
+    tokenize,
 )
 from amrinfer.errors import TransformError
 from amrinfer.graph import AmrGraph, relaxed_subset, relaxed_subset_at
@@ -130,7 +131,7 @@ def test_attachment_site_matches_subgraph_scan_on_corpus_records():
     for record in synthetic_corpus(random.Random(9), 360):
         t = record.triple()
         g_x, g_other = (t.p1.graph, t.p2.graph)
-        if most_similar_premise(t) == 2:
+        if _pivot(tokenize(t.p1.text), tokenize(t.p2.text), tokenize(t.conclusion.text)) == 2:
             g_x, g_other = g_other, g_x
         site = _attachment_site(t.conclusion.graph, g_x, g_other)
         assert site == scan_attachment_site(t.conclusion.graph, g_x, g_other)

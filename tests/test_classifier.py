@@ -14,12 +14,12 @@ from amrinfer.classify import (
     EntailmentTriple,
     Statement,
     _attachment_site,
+    _lexical_signal,
+    _pivot,
+    _word_diff,
     classify,
     is_verb,
     jaccard,
-    lexical_signal,
-    most_similar_premise,
-    single_token_diff,
     tokenize,
 )
 from amrinfer.errors import MalformedTripleError
@@ -47,10 +47,15 @@ def _triple(p1, p2, c, g1="(x / thing)", g2="(y / thing)", gc="(z / thing)"):
     )
 
 
+def _words(t: EntailmentTriple) -> tuple[list[str], list[str], list[str]]:
+    """The word lists that ``classify`` hands its steps."""
+    return tokenize(t.p1.text), tokenize(t.p2.text), tokenize(t.conclusion.text)
+
+
 class TestMostSimilarPremise:
     def test_identical_premise_wins(self):
         t = _triple("water covers rock", "plants need water", "water covers rock")
-        assert most_similar_premise(t) == 1
+        assert _pivot(*_words(t)) == 1
 
     def test_scar_triple_prefers_premise_two(self):
         # Oracle: token sets enumerated by hand.
@@ -69,35 +74,35 @@ class TestMostSimilarPremise:
             len(set(tokenize(p2)) | set(tokenize(c))),
         ) == Fraction(6, 9)
         assert jaccard(tokenize(p2), tokenize(c)) > jaccard(tokenize(p1), tokenize(c))
-        assert most_similar_premise(_triple(p1, p2, c)) == 2
+        assert _pivot(*_words(_triple(p1, p2, c))) == 2
 
     def test_tie_breaks_to_premise_one(self):
         t = _triple("solar wind", "lunar wind", "stellar wind")
-        assert most_similar_premise(t) == 1
+        assert _pivot(*_words(t)) == 1
 
 
 class TestSingleTokenDiff:
     def test_predicate_swap_sentences(self):
-        got = single_token_diff(
-            "food contains nutrients and energy for living things",
-            "food stores nutrients and energy for living things",
+        got = _word_diff(
+            tokenize("food contains nutrients and energy for living things"),
+            tokenize("food stores nutrients and energy for living things"),
         )
         assert got == ("contains", "stores")
 
     def test_identical_sentences(self):
         s = "granite is a hard material"
-        assert single_token_diff(s, s) is None
+        assert _word_diff(tokenize(s), tokenize(s)) is None
 
     def test_two_positions_differ(self):
         assert (
-            single_token_diff("rock is very hard", "sand is very soft") is None
+            _word_diff(tokenize("rock is very hard"), tokenize("sand is very soft")) is None
         )
 
     def test_length_mismatch(self):
-        assert single_token_diff("rock is hard", "the rock is hard") is None
+        assert _word_diff(tokenize("rock is hard"), tokenize("the rock is hard")) is None
 
     def test_case_and_punctuation_ignored(self):
-        assert single_token_diff("Rock is hard.", "rock is soft") == ("hard", "soft")
+        assert _word_diff(tokenize("Rock is hard."), tokenize("rock is soft")) == ("hard", "soft")
 
 
 class TestIsVerb:
@@ -133,7 +138,7 @@ class TestLexicalSignal:
             "an example of a shelter is a raccoon in a log",
             gc="(e / example :mod (s / shelter))",
         )
-        assert lexical_signal(t) is InferenceType.EXAMPLE
+        assert _lexical_signal(t, *_words(t)) is InferenceType.EXAMPLE
 
     def test_example_in_premise_disables_signal(self):
         t = _triple(
@@ -141,7 +146,7 @@ class TestLexicalSignal:
             "logs are hollow",
             "an example of a shelter is a log",
         )
-        assert lexical_signal(t) is None
+        assert _lexical_signal(t, *_words(t)) is None
 
     def test_conditional_edge_in_conclusion(self):
         t = _triple(
@@ -150,7 +155,7 @@ class TestLexicalSignal:
             "clouds stop telescope use",
             gc="(u / use-01 :polarity - :condition (c / cloud))",
         )
-        assert lexical_signal(t) is InferenceType.IFT
+        assert _lexical_signal(t, *_words(t)) is InferenceType.IFT
 
     def test_if_then_tokens_in_conclusion(self):
         t = _triple(
@@ -158,7 +163,7 @@ class TestLexicalSignal:
             "clouds block light",
             "if there are clouds then telescopes fail",
         )
-        assert lexical_signal(t) is InferenceType.IFT
+        assert _lexical_signal(t, *_words(t)) is InferenceType.IFT
 
     def test_example_checked_before_conditional(self):
         t = _triple(
@@ -167,11 +172,11 @@ class TestLexicalSignal:
             "if x then y is an example",
             gc="(e / example :condition (c / cloud))",
         )
-        assert lexical_signal(t) is InferenceType.EXAMPLE
+        assert _lexical_signal(t, *_words(t)) is InferenceType.EXAMPLE
 
     def test_no_signal(self):
         t = _triple("rock is hard", "sand is soft", "rock is harder than sand")
-        assert lexical_signal(t) is None
+        assert _lexical_signal(t, *_words(t)) is None
 
 
 class TestClassifyCascade:
@@ -231,7 +236,7 @@ class TestClassifyCascade:
 
     def test_pivot_matches_most_similar_premise(self):
         for _, triple, _ in sample_triples():
-            assert classify(triple).pivot == most_similar_premise(triple)
+            assert classify(triple).pivot == _pivot(*_words(triple))
 
     def test_frame_insertion_flag_only_on_insertions(self):
         for _, triple, gold in sample_triples():
@@ -281,7 +286,7 @@ class TestConjunctionBeforeAttachment:
             ),
         )
         g1, g2, gc = t.p1.graph, t.p2.graph, t.conclusion.graph
-        assert most_similar_premise(t) == 1
+        assert _pivot(*_words(t)) == 1
         site = _attachment_site(gc, g1, g2)
         assert site is not None and gc.nodes[site.target] == "sand"
         assert relaxed_subset(g1, gc) and relaxed_subset(g2, gc)

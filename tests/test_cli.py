@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from amrinfer.taxonomy import InferenceType
 
 from tests.corpus_fixtures import sample_records
 from tests.generators import LINE_BREAKS
+
+GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
 @pytest.fixture()
@@ -274,6 +277,15 @@ def test_emit_prompts_cli(tmp_path, capsys):
     assert len(lines) == 11
     first = json.loads(lines[0])
     assert first["input"].startswith("the inference type is ")
+
+
+@pytest.mark.parametrize("mode", ["ep", "dp", "de", "none"])
+def test_emit_prompts_writes_the_golden_file(mode, tmp_path):
+    annotated = str(tmp_path / "annotated.jsonl")
+    assert main(["annotate", "--input", sample_corpus_path(), "--output", annotated]) == 0
+    out = tmp_path / f"prompts_{mode}.jsonl"
+    assert main(["emit-prompts", "--input", annotated, "--mode", mode, "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / f"prompts_{mode}.jsonl").read_bytes()
 
 
 def test_emit_prompts_keeps_loaded_types_when_some_records_are_untyped(tmp_path):

@@ -1,6 +1,8 @@
 """The graph value and the small records around it keep the semantics they
 had as frozen dataclasses: the same ``repr`` strings, equality by value,
-no hash for a graph, no assignment, and a constructor that validates."""
+no hash for a graph, no assignment, and a constructor that validates. A
+graph's equality also compares node order, which the dataclass did not,
+since the transforms rank sites by node position."""
 
 from __future__ import annotations
 
@@ -9,9 +11,9 @@ import pytest
 from amrinfer.amr import AmrGraph, Constant, Edge
 from amrinfer.errors import GraphInvariantError
 from amrinfer.graph import graph_difference, relaxed_subset
-from amrinfer.penman import parse_penman
-from amrinfer.taxonomy import _INFO, InferenceType
-from amrinfer.transform import TransformRequest
+from amrinfer.penman import parse_penman, serialize_penman
+from amrinfer.taxonomy import InferenceType
+from amrinfer.transform import TransformRequest, transform
 
 TEXT = '(c / contain-01 :ARG0 (f / food) :quant 3 :mod (n / name :op1 "Mt"))'
 
@@ -60,14 +62,6 @@ class TestRepr:
         hinted = TransformRequest(_rock(), _hard_rock(), InferenceType.ARG_SUB, ("r", "r"))
         assert repr(hinted).endswith("site_hint=('r', 'r'))")
 
-    def test_type_info(self):
-        assert repr(_INFO[InferenceType.ARG_SUB]) == (
-            "_TypeInfo(display_name='arg substitution', expected_proportion=0.19, transformable=True)"
-        )
-        assert repr(_INFO[InferenceType.PREM_COPY]) == (
-            "_TypeInfo(display_name='premise copy', expected_proportion=None, transformable=False)"
-        )
-
 
 class TestGraph:
     def test_equal_only_to_a_graph(self):
@@ -78,13 +72,29 @@ class TestGraph:
         assert g != object()
         assert g.__eq__((g.root, g.nodes, g.edges)) is NotImplemented
 
-    def test_edge_order_is_compared_and_node_order_is_not(self):
-        # The fields compare as a tuple, so the nodes compare as dicts.
+    def test_node_order_and_edge_order_are_compared(self):
+        # Both orders are part of the value: the nodes compare in order.
         a = AmrGraph("r", {"r": "rock", "h": "hard", "b": "big"}, [("r", ":mod", "h"), ("r", ":mod", "b")])
         b = AmrGraph("r", {"r": "rock", "b": "big", "h": "hard"}, [("r", ":mod", "h"), ("r", ":mod", "b")])
         c = AmrGraph("r", {"r": "rock", "h": "hard", "b": "big"}, [("r", ":mod", "b"), ("r", ":mod", "h")])
-        assert a == b and repr(a) != repr(b)
+        assert a.nodes == b.nodes and a != b and b != a
         assert a != c
+        assert a == AmrGraph("r", dict(a.nodes), a.edges)
+
+    def test_graphs_differing_in_node_order_transform_differently(self):
+        # ARG-SUB ranks its sites by node position, so two graphs that
+        # differ only in node order must not be equal.
+        kind = parse_penman("(m / metal :domain (i / iron))")
+        edges = [("c", ":ARG0", "a"), ("c", ":ARG1", "b")]
+        ab = AmrGraph("c", {"c": "contain-01", "a": "metal", "b": "metal"}, edges)
+        ba = AmrGraph("c", {"c": "contain-01", "b": "metal", "a": "metal"}, edges)
+        assert ab != ba
+
+        def derived(g):
+            return serialize_penman(transform(TransformRequest(kind, g, InferenceType.ARG_SUB)))
+
+        assert derived(ab) == "(c / contain-01 :ARG0 (i / iron) :ARG1 (b / metal))"
+        assert derived(ba) == "(c / contain-01 :ARG0 (a / metal) :ARG1 (i / iron))"
 
     def test_unhashable(self):
         with pytest.raises(TypeError):

@@ -18,7 +18,7 @@ from amrinfer.graph import AmrGraph, relaxed_isomorphic, relaxed_subset
 from amrinfer.penman import parse_penman, serialize_penman
 from amrinfer.taxonomy import InferenceType
 from amrinfer.transform import (
-    HEURISTIC_TYPES,
+    TRANSFORMABLE_TYPES,
     TransformRequest,
     bridge_candidates,
     transform,
@@ -115,7 +115,7 @@ class TestPerType:
         got = transform(TransformRequest(p1, p2, InferenceType.IFT))
         cond = [e for e in got.outgoing(got.root) if e.role == ":condition"]
         assert len(cond) == 1
-        assert InferenceType.IFT in HEURISTIC_TYPES
+        assert InferenceType.IFT in TRANSFORMABLE_TYPES
 
 
 class TestErrors:
@@ -215,9 +215,10 @@ class TestDeterminismAndPurity:
 
     def test_outputs_well_formed_across_generators(self):
         rng = random.Random(3)
-        for type_ in sorted(HEURISTIC_TYPES | {InferenceType.ARG_SUB,
-                                               InferenceType.FRAME_SUB,
-                                               InferenceType.ARG_INS},
+        for type_ in sorted({InferenceType.IFT,
+                             InferenceType.ARG_SUB,
+                             InferenceType.FRAME_SUB,
+                             InferenceType.ARG_INS},
                             key=lambda t: t.value):
             for _ in range(10):
                 p1, p2, hint = make_premises(rng, type_)
@@ -281,8 +282,8 @@ def _punctuated(g: AmrGraph) -> AmrGraph:
     return AmrGraph(g.root, nodes, g.edges)
 
 
-TRANSFORMABLE = HEURISTIC_TYPES | {
-    InferenceType.ARG_SUB, InferenceType.FRAME_SUB, InferenceType.ARG_INS
+TRANSFORMABLE = {
+    InferenceType.IFT, InferenceType.ARG_SUB, InferenceType.FRAME_SUB, InferenceType.ARG_INS
 }
 
 
