@@ -204,24 +204,22 @@ def _has_signal_conditional(g: AmrGraph, words: list[str]) -> bool:
     return "if" in words and "then" in words
 
 
+#: Conclusion-owned lexical signals in checking order: (test, type, rule).
+_SIGNALS = (
+    (_has_signal_example, InferenceType.EXAMPLE, "lexical-example"),
+    (_has_signal_conditional, InferenceType.IFT, "lexical-if-then"),
+)
+
+
 def _lexical_signal(
     t: EntailmentTriple, w1: list[str], w2: list[str], wc: list[str]
-) -> InferenceType | None:
-    """EXAMPLE / IFT when the conclusion carries the signal and neither
-    premise does. EXAMPLE is checked first."""
+) -> tuple[InferenceType, str] | None:
+    """The type and rule of the first signal that the conclusion carries
+    and neither premise does, or None."""
     g1, g2, gc = t.p1.graph, t.p2.graph, t.conclusion.graph
-    if (
-        _has_signal_example(gc, wc)
-        and not _has_signal_example(g1, w1)
-        and not _has_signal_example(g2, w2)
-    ):
-        return InferenceType.EXAMPLE
-    if (
-        _has_signal_conditional(gc, wc)
-        and not _has_signal_conditional(g1, w1)
-        and not _has_signal_conditional(g2, w2)
-    ):
-        return InferenceType.IFT
+    for has, type_, rule in _SIGNALS:
+        if has(gc, wc) and not has(g1, w1) and not has(g2, w2):
+            return type_, rule
     return None
 
 
@@ -379,10 +377,8 @@ def classify(t: EntailmentTriple) -> ClassificationResult:
 
     # 2. Conclusion-owned lexical signals.
     lexical = _lexical_signal(t, w1, w2, wc)
-    if lexical is InferenceType.EXAMPLE:
-        return result(InferenceType.EXAMPLE, Evidence("lexical-example"))
-    if lexical is InferenceType.IFT:
-        return result(InferenceType.IFT, Evidence("lexical-if-then"))
+    if lexical is not None:
+        return result(lexical[0], Evidence(lexical[1]))
 
     # 3. One-word difference between the pivot premise and the conclusion.
     diff = _word_diff(w_x, wc)

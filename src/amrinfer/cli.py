@@ -139,9 +139,11 @@ def _cmd_emit_prompts(args) -> int:
     untyped = [r for r in records if not (r.predicted_type or r.gold_type)]
     if mode is not InjectionMode.NONE and untyped:
         # Only untyped records are classified, so that no record's type
-        # depends on the other records in the file. Ids are unique at load.
-        typed = {r.id: r for r in annotate_corpus(untyped)[0]}
-        records = [typed.get(r.id, r) for r in records]
+        # depends on the other records in the file; they come back in order.
+        typed = iter(annotate_corpus(untyped)[0])
+        records = [
+            r if r.predicted_type or r.gold_type else next(typed) for r in records
+        ]
     prompts = emit_prompts(records, mode)
     save_prompts(prompts, args.output)
     print(f"emitted {len(prompts)} prompts -> {args.output}", file=sys.stderr)

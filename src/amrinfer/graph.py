@@ -26,10 +26,11 @@ bounded by Python's recursion limit.
 :meth:`AmrGraph.subgraph_at` would build it, relaxed-embeds in another
 graph, without building it. One walk of the node's closure counts its
 concepts against the other graph's buckets, stopping at the first that
-cannot fit, and collects the closure's argument edges in stored edge
-order. With none, the count alone decides; otherwise the same search as
-:func:`relaxed_subset` runs on those edges. The classifier asks this of
-every conclusion edge, and most fail at the first concept.
+cannot fit, and collects the closure's argument edges as the walk meets
+them, parent first. With none, the count alone decides; otherwise the
+same search as :func:`relaxed_subset` runs on those edges in walk order.
+The classifier asks this of every conclusion edge, and most fail at the
+first concept.
 
 The search returns its assignment of the searched nodes, not only whether
 one exists. :func:`relaxed_embedding` completes it, giving every other
@@ -287,13 +288,15 @@ def relaxed_subset_at(g: AmrGraph, node: NodeId, outer: AmrGraph) -> bool:
     """``relaxed_subset(g.subgraph_at(node), outer)``, without building
     the subgraph. One walk of ``node``'s closure counts its concepts
     against ``outer``'s buckets, stopping at the first that cannot fit,
-    and collects the closure's argument edges; the search then runs on
-    them in stored edge order, as it runs on the subgraph's."""
+    and collects the closure's argument edges as it meets them, parent
+    first. The search runs on them in that order, so a node reached along
+    one draws from its parent's partner even when edges are stored child
+    first; no order changes whether an embedding exists."""
     have = outer._buckets
     labels, edges, out = g.nodes, g.edges, g._out
     is_argument = _ARGUMENT_ROLE.match
     need: dict[Concept, int] = {}
-    positions: list[int] = []
+    arguments: list[Edge] = []
     seen: set[NodeId] = set()
     stack = [node]
     while stack:
@@ -307,15 +310,14 @@ def relaxed_subset_at(g: AmrGraph, node: NodeId, outer: AmrGraph) -> bool:
             return False
         need[label] = count
         for i in out.get(n, ()):
-            _, role, t = edges[i]
+            _, role, t = e = edges[i]
             if is_argument(role):
-                positions.append(i)
+                arguments.append(e)
             if not isinstance(t, Constant):
                 stack.append(t)
-    if not positions:
+    if not arguments:
         return True  # Hall's condition holds, as in :func:`_embed`
-    positions.sort()
-    return _search(labels, outer, [edges[i] for i in positions], {}) is not None
+    return _search(labels, outer, arguments, {}) is not None
 
 
 def relaxed_isomorphic(a: AmrGraph, b: AmrGraph) -> bool:

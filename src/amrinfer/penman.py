@@ -329,38 +329,22 @@ def iter_penman(text: str, origin: str | None = None) -> list[AmrGraph]:
 
 def _held_lines(text: str) -> set[int]:
     """The numbers of the lines that start inside a quoted string, which
-    hold whatever the string holds. Only a text with a ``"`` in it is read
-    line by line, and only a line with one outside such a string is read
-    for strings."""
+    hold whatever the string holds. One scan takes whole each run of lines
+    with no ``"`` and each ``#`` line (metadata), and reads the rest as the
+    token reader does. Only a closed string matches across a line break, so
+    the lines after the first of such a match are held."""
     held: set[int] = set()
     if '"' not in text:
         return held
-    string_end = pos = 0
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        start, pos = pos, pos + len(line) + 1
-        if start < string_end:
-            held.add(line_no)
-        elif '"' in line and not line.lstrip().startswith("#"):
-            string_end = _string_end(text, start, pos - 1)
+    scan = re.compile(rf'(?m:^[^"]*\n|^[^\S\n]*#.*)|{_TOKEN.pattern}')
+    line, counted = 1, 0
+    for token in scan.finditer(text):
+        breaks = token[0][0] == '"' and token[0].count("\n")
+        if breaks:
+            line += text.count("\n", counted, token.start())
+            counted = token.start()
+            held.update(range(line + 1, line + breaks + 1))
     return held
-
-
-def _string_end(text: str, start: int, end: int) -> int:
-    """The offset just past the last quoted string that runs over a line
-    break, reading tokens from ``start``, a line's start, as the token
-    reader reads them, through the line that ends at ``end`` and each line
-    such a string runs into; 0 when none does. Only a closed string token
-    can hold a line break."""
-    found = 0
-    for token in _TOKEN.finditer(text, start):
-        if token.start() >= end:
-            break
-        if token.end() > end:
-            found = token.end()
-            end = text.find("\n", found)
-            if end < 0:
-                end = len(text)
-    return found
 
 
 def read_penman_text(path: str) -> str:

@@ -74,6 +74,19 @@ def bridge_candidates(
     return [(n1, n2, c) for _, c, _, _, n1, n2 in pairs]
 
 
+def _bridges(p1: AmrGraph, p2: AmrGraph, hint) -> list[tuple[NodeId, NodeId, Concept]]:
+    """The bridge candidates a request may use: without a hint every one,
+    as :func:`bridge_candidates` ranks them; with one only the hinted
+    pair, when both nodes exist and share a concept."""
+    if hint is None:
+        return bridge_candidates(p1, p2)
+    n1, n2 = hint
+    concept = p1.nodes.get(n1)
+    if concept is None or p2.nodes.get(n2) != concept:
+        return []
+    return [(n1, n2, concept)]
+
+
 def transform(req: TransformRequest) -> AmrGraph:
     """Apply the requested inference type to the premise pair."""
     handler = _HANDLERS.get(req.type)
@@ -92,34 +105,29 @@ def transform(req: TransformRequest) -> AmrGraph:
 def _arg_sub(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
     # The connective premise reads "specific is a (kind of) general":
     # its root is the general term, its :domain child the specific one.
-    candidates = []
-    for which, (kind, host) in (("p1", (p1, p2)), ("p2", (p2, p1))):
+    # Each connective premise offers the host sites of its general term in
+    # position order, so its first site that fits the hint is its best.
+    # The smaller key of the two wins, premise 1 on a tie.
+    best = None
+    for kind, host, flip in ((p1, p2, False), (p2, p1, True)):
         domain = kind.child_edge(kind.root, ":domain")
         if domain is None:
             continue
         child = domain.target
         general = kind.nodes[kind.root]
-        replacement = kind.subgraph_at(child)
         for position, (site, c) in enumerate(host.nodes.items()):
             if c != general or site == host.root:
                 continue
-            p1_node, p2_node = (child, site) if which == "p1" else (site, child)
-            candidates.append(
-                (
-                    -len(replacement.nodes),
-                    general,
-                    position,
-                    (p1_node, p2_node),
-                    host,
-                    site,
-                    replacement,
-                )
-            )
-    candidates.sort(key=lambda c: c[:3])
-    for *_, pair, host, site, replacement in candidates:
-        if hint is not None and pair != tuple(hint):
-            continue
-        return substitute_subgraph(host, site, replacement)
+            pair = (site, child) if flip else (child, site)
+            if hint is not None and pair != tuple(hint):
+                continue
+            key = (-len(kind.closure(child)), general, position)
+            if best is None or key < best[0]:
+                best = key, kind, child, host, site
+            break
+    if best is not None:
+        _, kind, child, host, site = best
+        return substitute_subgraph(host, site, kind.subgraph_at(child))
     raise NoBridgeError(
         "argument substitution needs one premise of the form "
         "'(general :domain specific)' whose general term recurs as an "
@@ -167,9 +175,7 @@ def _frame_sub(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
     # Only a predicate-rooted premise can be the donor: without one no
     # bridge qualifies, so none is built.
     if is_predicate(p1.nodes[p1.root]) or is_predicate(p2.nodes[p2.root]):
-        for n1, n2, _ in bridge_candidates(p1, p2):
-            if hint is not None and (n1, n2) != tuple(hint):
-                continue
+        for n1, n2, _ in _bridges(p1, p2, hint):
             for host, site, donor in ((p1, n1, p2), (p2, n2, p1)):
                 if site == host.root:
                     continue
@@ -238,9 +244,7 @@ def _arg_ins(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
     # A candidate whose insertion would duplicate an attachment the host
     # already has is skipped for the next one.
     duplicated = False
-    for n1, n2, _ in bridge_candidates(p1, p2):
-        if hint is not None and (n1, n2) != tuple(hint):
-            continue
+    for n1, n2, _ in _bridges(p1, p2, hint):
         for donor, donor_node, host, site in (
             (p1, n1, p2, n2),
             (p2, n2, p1, n1),
@@ -282,8 +286,8 @@ def _conditional_parts(
     """Split a conditional premise at its root :condition edge into the
     consequent graph and the antecedent placeholders that re-enter it.
     The consequent is valid by construction: the nodes reachable from the
-    root without crossing the :condition edge, with every other edge among
-    them."""
+    root without crossing the :condition edge, with every other out-edge
+    of theirs, whose target the walk reached along it."""
     cond = g.child_edge(g.root, ":condition")
     if cond is None:
         return None
@@ -306,11 +310,7 @@ def _conditional_parts(
             stack.append(e.target)
     consequent_nodes = {n: g.nodes[n] for n in seen}
     consequent_edges = tuple(
-        e
-        for e in edges
-        if e != cond
-        and e.source in consequent_nodes
-        and (isinstance(e.target, Constant) or e.target in consequent_nodes)
+        e for e in edges if e != cond and e.source in consequent_nodes
     )
     consequent = AmrGraph._built(g.root, consequent_nodes, consequent_edges)
     placeholders = [n for n in seen if n in antecedent_nodes and n != g.root]
@@ -348,16 +348,12 @@ def _cond_frame(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
         conditional = True
         cond, consequent, placeholders = parts
         antecedent_head = rule_graph.nodes[cond.target]
-        anchor = None
-        for n, c in fact.nodes.items():
-            if c == antecedent_head:
-                anchor = n
-                break
+        anchor = next((n for n, c in fact.nodes.items() if c == antecedent_head), None)
         if anchor is None:
             continue
         out = consequent
         for placeholder in placeholders:
-            if placeholder not in out.nodes or placeholder == out.root:
+            if placeholder not in out.nodes:
                 continue
             bound = _bind_placeholder(rule_graph, placeholder, fact, anchor)
             if bound is not None:

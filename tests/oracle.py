@@ -13,7 +13,9 @@ by, so that the tighter one can be checked against it.
 
 ``scan_parse_penman`` at the end is the token-by-token Penman reader
 that the step-pattern reader replaced: it builds a ``(kind, text,
-offset)`` tuple for every token and validates the graph it builds."""
+offset)`` tuple for every token and validates the graph it builds.
+``scan_held_lines`` after it is the line-by-line search for the lines
+inside quoted strings that the one-scan ``_held_lines`` replaced."""
 
 from __future__ import annotations
 
@@ -589,3 +591,37 @@ def scan_parse_penman(text: str, origin: str | None = None) -> AmrGraph:
     if not text.strip():
         raise PenmanSyntaxError("empty input", 0, origin)
     return _parse(text, origin)
+
+
+def scan_held_lines(text: str) -> set[int]:
+    """The lines that start inside a quoted string, found line by line:
+    each line that is not held, holds a ``"`` and is no ``#`` line is
+    read for tokens from its start, and a token that runs past the line's
+    end extends the read through the line where that token ends."""
+    held: set[int] = set()
+    if '"' not in text:
+        return held
+    string_end = pos = 0
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        start, pos = pos, pos + len(line) + 1
+        if start < string_end:
+            held.add(line_no)
+        elif '"' in line and not line.lstrip().startswith("#"):
+            string_end = _string_end(text, start, pos - 1)
+    return held
+
+
+def _string_end(text: str, start: int, end: int) -> int:
+    """The offset just past the last token, read from ``start``, that runs
+    over a line break, through the line that ends at ``end`` and each line
+    such a token runs into; 0 when none does."""
+    found = 0
+    for token in _TOKEN.finditer(text, start):
+        if token.start() >= end:
+            break
+        if token.end() > end:
+            found = token.end()
+            end = text.find("\n", found)
+            if end < 0:
+                end = len(text)
+    return found

@@ -7,6 +7,7 @@ edge."""
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 from unittest import mock
@@ -106,5 +107,26 @@ def test_deep_chain_is_checked_once():
     start = time.process_time()
     result = classify(t)
     assert time.process_time() - start < 0.25
+    assert result.type is InferenceType.ARG_INS
+    assert result.evidence.rule == "argument-insertion"
+
+
+def test_deep_chain_stored_child_first():
+    """The same triple at n = 200, with the conclusion's edges stored in
+    reverse, so each subtree's edges come child first. Step 5 collects a
+    subtree's edges as its walk meets them, parent first, so each node is
+    drawn from its parent's partner, not from its whole concept bucket.
+    Searching in stored order took 12.4 s of CPU on a 2-CPU x86-64
+    machine, and walk order about 90 ms."""
+    p1, p2 = _chain(200, 0), _chain(200, 1)
+    edges = p1.edges + (Edge(p1.root, ":ARG2", "z"),)
+    c = AmrGraph(p1.root, {**p1.nodes, "z": "person"}, edges[::-1])
+    t = EntailmentTriple(_stmt(p1), _stmt(p2), _stmt(c))
+    # Collected first, so that no collection of the garbage earlier tests
+    # left behind falls inside the timed call.
+    gc.collect()
+    start = time.process_time()
+    result = classify(t)
+    assert time.process_time() - start < 0.5
     assert result.type is InferenceType.ARG_INS
     assert result.evidence.rule == "argument-insertion"

@@ -138,7 +138,7 @@ class TestLexicalSignal:
             "an example of a shelter is a raccoon in a log",
             gc="(e / example :mod (s / shelter))",
         )
-        assert _lexical_signal(t, *_words(t)) is InferenceType.EXAMPLE
+        assert _lexical_signal(t, *_words(t)) == (InferenceType.EXAMPLE, "lexical-example")
 
     def test_example_in_premise_disables_signal(self):
         t = _triple(
@@ -155,7 +155,7 @@ class TestLexicalSignal:
             "clouds stop telescope use",
             gc="(u / use-01 :polarity - :condition (c / cloud))",
         )
-        assert _lexical_signal(t, *_words(t)) is InferenceType.IFT
+        assert _lexical_signal(t, *_words(t)) == (InferenceType.IFT, "lexical-if-then")
 
     def test_if_then_tokens_in_conclusion(self):
         t = _triple(
@@ -163,7 +163,7 @@ class TestLexicalSignal:
             "clouds block light",
             "if there are clouds then telescopes fail",
         )
-        assert _lexical_signal(t, *_words(t)) is InferenceType.IFT
+        assert _lexical_signal(t, *_words(t)) == (InferenceType.IFT, "lexical-if-then")
 
     def test_example_checked_before_conditional(self):
         t = _triple(
@@ -172,7 +172,7 @@ class TestLexicalSignal:
             "if x then y is an example",
             gc="(e / example :condition (c / cloud))",
         )
-        assert _lexical_signal(t, *_words(t)) is InferenceType.EXAMPLE
+        assert _lexical_signal(t, *_words(t)) == (InferenceType.EXAMPLE, "lexical-example")
 
     def test_no_signal(self):
         t = _triple("rock is hard", "sand is soft", "rock is harder than sand")

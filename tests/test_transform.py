@@ -322,3 +322,47 @@ class TestSiteHint:
         )
         assert serialize_penman(auto) != serialize_penman(hinted)
         assert hinted.has_concept("granite")
+
+
+class TestArgSubAcrossPremises:
+    """Both premises are connective, and each offers a site in the other:
+    the smaller key (replacement size, largest first; general term; site
+    position) wins, and premise 1 wins a full tie."""
+
+    @pytest.mark.parametrize(
+        "p1, p2, expected, node_order",
+        [
+            pytest.param(
+                "(a / animal :domain (d / dog) :mod (m / mammal))",
+                "(m / mammal :domain (c / cat :mod (b / black)) :mod (a / animal))",
+                "(a / animal :domain (d / dog) :mod (c / cat :mod (b / black)))",
+                ["a", "d", "c", "b"],
+                id="larger-replacement",
+            ),
+            pytest.param(
+                "(m / mammal :domain (d / dog) :mod (a / animal))",
+                "(a / animal :domain (c / cat) :mod (m / mammal))",
+                "(m / mammal :domain (d / dog) :mod (c / cat))",
+                ["m", "d", "c"],
+                id="smaller-general-term",
+            ),
+            pytest.param(
+                "(t / thing :mod (u / thing) :domain (d / dog))",
+                "(t / thing :domain (c / cat) :mod (u / thing))",
+                "(t / thing :mod (c / cat) :domain (d / dog))",
+                ["t", "d", "c"],
+                id="earlier-site",
+            ),
+            pytest.param(
+                "(t / thing :domain (d / dog) :mod (u / thing))",
+                "(t / thing :domain (c / cat) :mod (u / thing))",
+                "(t / thing :domain (c / cat) :mod (d / dog))",
+                ["t", "c", "d"],
+                id="tie-premise-1",
+            ),
+        ],
+    )
+    def test_ranking(self, p1, p2, expected, node_order):
+        out = transform(TransformRequest(AMR(p1), AMR(p2), InferenceType.ARG_SUB))
+        assert serialize_penman(out) == expected
+        assert list(out.nodes) == node_order
