@@ -26,7 +26,7 @@ import re
 from collections.abc import Callable, Iterable, Set as AbstractSet
 from typing import NamedTuple, NoReturn
 
-from .errors import GraphInvariantError
+from .errors import GraphInvariantError, InvalidSiteError
 
 _ARGUMENT_ROLE = re.compile(r":(?:ARG\d+|op\d+)\Z")
 _SENSE_SUFFIX = re.compile(r"\A(?P<stem>.+)-\d{2}\Z")
@@ -255,9 +255,12 @@ class AmrGraph:
 
     def closure(self, node: NodeId, cut: NodeId | None = None) -> list[NodeId]:
         """Nodes reachable from ``node`` along edge direction, in a stable
-        depth-first order (constants excluded). The walk never enters
-        ``cut``, when given, which must not be ``node``: it starts out
-        seen, so no edge pays a test, and it is dropped at the end."""
+        depth-first order (constants excluded), never entering ``cut``,
+        which starts out seen, so no edge pays a test, and is dropped at
+        the end. Raises :class:`InvalidSiteError` when ``node`` is not a
+        node or is ``cut``."""
+        if node == cut or node not in self.nodes:
+            raise InvalidSiteError(f"no walk from {node!r}: not a node, or the cut")
         edges, out = self.edges, self._out
         seen: dict[NodeId, None] = {} if cut is None else {cut: None}
         stack = [node]
@@ -276,10 +279,10 @@ class AmrGraph:
 
     def subgraph_at(self, node: NodeId, cut: NodeId | None = None) -> "AmrGraph":
         """The subgraph rooted at ``node``: its closure, never entering
-        ``cut`` (which must not be ``node``), plus every out-edge of a
-        kept node that does not enter ``cut`` (including constant-targeted
-        ones), in stored edge order. Every such edge is internal: its
-        target is a constant or is reached through it."""
+        ``cut``, plus every out-edge of a kept node that does not enter
+        ``cut`` (including constant-targeted ones), in stored edge order;
+        each is internal, its target a constant or reached through it.
+        Raises :class:`InvalidSiteError` as :meth:`closure` does."""
         keep = self.closure(node, cut)
         out, edges = self._out, self.edges
         positions = sorted(i for n in keep for i in out.get(n, ()))

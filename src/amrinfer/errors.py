@@ -30,8 +30,8 @@ class GraphInvariantError(AmrError):
 
 
 class InvalidSiteError(AmrError):
-    """An edit site that is not a node of the graph, or a substitution at
-    the root, where the caller should just use the replacement graph."""
+    """A site that is not a node of the graph, a walk from its own cut, or
+    a substitution at the root, where the replacement graph is the answer."""
 
 
 class DuplicateRoleError(AmrError):

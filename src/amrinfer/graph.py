@@ -6,31 +6,28 @@ The value's names (:class:`AmrGraph`, :class:`Constant`, :class:`Edge`,
 and :func:`stem`) are bound here too, so they can still be looked up on
 this module.
 
-Relaxed containment, relaxed equivalence and exact isomorphism are one
-embedding search, :func:`_embed`; each caller chooses the edges to keep
-and may pin the root. A node maps onto a node of its concept, so the
-search first counts: each concept must occur in the other graph at least
-as often. It then assigns only the nodes that a kept edge touches. Every
-other node is counted, not searched, since any free partner of its
-concept will do. Of the touched nodes, those with one candidate (a pinned
-root, or a concept that occurs once in the other graph) are settled in
-one pass, which checks the edges among them. The rest are searched in
-the order the edges first touch them, and a node first reached along an
-edge draws its candidates from the edges of its neighbour's partner
-(after VF2++, Jüttner and Madarasi, 2018, and RI, Bonnici et al., 2013),
-not from its whole concept bucket, so an edge prunes as soon as it is
-reached. The search runs on an explicit stack, so its depth is not
-bounded by Python's recursion limit.
+Relaxed containment, relaxed equivalence and exact isomorphism each call
+one embedding search, :func:`_search`, with the edges they keep; exact
+isomorphism also pins the root. A node maps onto a node of its concept,
+so each test first counts: each concept must occur in the other graph at
+least as often (:func:`_fits`). The search then assigns only the nodes
+that a kept edge touches. Every other node is counted, not searched,
+since any free partner of its concept will do. Of the touched nodes,
+those with one candidate (a pinned root, or a concept that occurs once in
+the other graph) are settled in one pass, which checks the edges among
+them. The rest are searched in the order the edges first touch them, and
+a node first reached along an edge draws its candidates from the edges of
+its neighbour's partner (after VF2++, Jüttner and Madarasi, 2018, and RI,
+Bonnici et al., 2013), not from its whole concept bucket, so an edge
+prunes as soon as it is reached. The search runs on an explicit stack, so
+its depth is not bounded by Python's recursion limit.
 
 :func:`relaxed_subset_at` asks whether the subtree at a node, as
 :meth:`AmrGraph.subgraph_at` would build it, relaxed-embeds in another
-graph, without building it. One walk of the node's closure counts its
-concepts against the other graph's buckets, stopping at the first that
-cannot fit, and collects the closure's argument edges as the walk meets
-them, parent first. With none, the count alone decides; otherwise the
-same search as :func:`relaxed_subset` runs on those edges in walk order.
-The classifier asks this of every conclusion edge, and most fail at the
-first concept.
+graph, without building it, by one walk that counts concepts before the
+search; :func:`relaxed_subset` is that walk at the root, which reaches
+every node. The classifier asks it of every conclusion edge, and most
+fail at the first concept.
 
 The search returns its assignment of the searched nodes, not only whether
 one exists. :func:`relaxed_embedding` completes it, giving every other
@@ -107,30 +104,15 @@ def _file_edges(
     return filed
 
 
-def _embed(
-    a: AmrGraph, b: AmrGraph, edges: Sequence[Edge], root: NodeId | None = None
-) -> dict[NodeId, NodeId] | None:
-    """A witness that the nodes of ``a`` map injectively onto same-concept
-    nodes of ``b`` so that every edge in ``edges`` lands on an edge of
-    ``b``, or None when there is none; ``root``, when given, is the only
-    candidate for ``a``'s root.
-
-    Only the nodes that ``edges`` touch, and a pinned root, are assigned,
-    and only they are in the witness: every other node just needs a free
-    partner in its concept bucket. Hall's condition for those nodes is the
-    check, made first, that each concept occurs in ``b`` at least as often
-    as in ``a``; every witness for the searched nodes then completes (see
-    :func:`_search` and :func:`relaxed_embedding`)."""
+def _fits(a: AmrGraph, b: AmrGraph) -> bool:
+    """Hall's condition for mapping the nodes of ``a`` onto same-concept
+    nodes of ``b``: each concept occurs in ``b`` at least as often, so
+    every witness of :func:`_search` completes."""
     have = b._buckets
     for label, vs in a._buckets.items():
         if len(have.get(label, ())) < len(vs):
-            return None
-    labels = a.nodes
-    if root is None:
-        return _search(labels, b, edges, {})
-    if labels[a.root] != b.nodes[root]:
-        return None
-    return _search(labels, b, edges, {a.root: root})
+            return False
+    return True
 
 
 def _search(
@@ -139,12 +121,13 @@ def _search(
     edges: Sequence[Edge],
     assign: dict[NodeId, NodeId],
 ) -> dict[NodeId, NodeId] | None:
-    """The search behind :func:`_embed`, once the concepts are counted:
-    an injective map of the nodes that ``edges`` touch, each labelled by
-    ``labels``, onto same-concept nodes of ``b`` under which every edge
-    lands on an edge of ``b``, or None. With no edge and nothing pinned
-    the map is ``{}``, which is a witness, so callers test ``is not None``.
-    ``assign`` holds any node already pinned, and the search fills it in.
+    """The search behind every containment and isomorphism test, once the
+    concepts are counted: an injective map of the nodes that ``edges``
+    touch, each labelled by ``labels``, onto same-concept nodes of ``b``
+    under which every edge lands on an edge of ``b``, or None. With no
+    edge and nothing pinned the map is ``{}``, which is a witness, so
+    callers test ``is not None``. ``assign`` holds any node already
+    pinned, and the search fills it in.
 
     One pass over ``edges`` settles every node with a single candidate,
     a pinned node or one whose concept occurs once in ``b``, and checks
@@ -253,8 +236,9 @@ def _search(
 def relaxed_subset(inner: AmrGraph, outer: AmrGraph) -> bool:
     """True when ``inner`` embeds injectively into ``outer`` preserving
     concepts and argument-class edges; relaxable edges are ignored on both
-    sides."""
-    return _embed(inner, outer, inner._arguments) is not None
+    sides. It is :func:`relaxed_subset_at` at the root, which reaches every
+    node, so each call walks ``inner`` rather than reading a kept list."""
+    return relaxed_subset_at(inner, inner.root, outer)
 
 
 def relaxed_embedding(
@@ -262,11 +246,13 @@ def relaxed_embedding(
 ) -> dict[NodeId, NodeId] | None:
     """The witness of :func:`relaxed_subset`, made total: every node of
     ``inner`` maps to its node of ``outer``, or None when ``inner`` does
-    not embed. The searched nodes keep the search's partners; every other
-    node, in stored node order, takes the first free node of its concept
-    bucket. Hall's condition, checked before the search, leaves one free
-    for each."""
-    witness = _embed(inner, outer, inner._arguments)
+    not embed. The search runs on the argument edges in stored order, and
+    its nodes keep their partners; every other node, in stored node order,
+    takes the first free node of its concept bucket. Hall's condition,
+    checked before the search, leaves one free for each."""
+    if not _fits(inner, outer):
+        return None
+    witness = _search(inner.nodes, outer, inner._arguments, {})
     if witness is None:
         return None
     searched = set(witness.values())
@@ -285,13 +271,16 @@ def relaxed_embedding(
 
 
 def relaxed_subset_at(g: AmrGraph, node: NodeId, outer: AmrGraph) -> bool:
-    """``relaxed_subset(g.subgraph_at(node), outer)``, without building
-    the subgraph. One walk of ``node``'s closure counts its concepts
-    against ``outer``'s buckets, stopping at the first that cannot fit,
-    and collects the closure's argument edges as it meets them, parent
-    first. The search runs on them in that order, so a node reached along
-    one draws from its parent's partner even when edges are stored child
-    first; no order changes whether an embedding exists."""
+    """Whether ``g.subgraph_at(node)`` relaxed-embeds in ``outer``, without
+    building the subgraph. One walk of ``node``'s closure counts its
+    concepts against ``outer``'s buckets, stopping at the first that
+    cannot fit, and collects the closure's argument edges as it meets
+    them, parent first. The search runs on them in that order, so a node
+    reached along one draws from its parent's partner even when edges are
+    stored child first; no order changes whether an embedding exists.
+    Raises :class:`InvalidSiteError` when ``node`` is not a node of ``g``."""
+    if node not in g.nodes:
+        raise InvalidSiteError(f"{node!r} is not a node of the graph")
     have = outer._buckets
     labels, edges, out = g.nodes, g.edges, g._out
     is_argument = _ARGUMENT_ROLE.match
@@ -316,21 +305,17 @@ def relaxed_subset_at(g: AmrGraph, node: NodeId, outer: AmrGraph) -> bool:
             if not isinstance(t, Constant):
                 stack.append(t)
     if not arguments:
-        return True  # Hall's condition holds, as in :func:`_embed`
+        return True  # the count is Hall's condition: every node fits
     return _search(labels, outer, arguments, {}) is not None
 
 
 def relaxed_isomorphic(a: AmrGraph, b: AmrGraph) -> bool:
     """Mutual relaxed containment under one bijective witness: same concept
     multiset and identical argument-class structure, modifiers ignored."""
-    if len(a.nodes) != len(b.nodes):
+    # Equal argument-edge counts make a forward witness a bijection on them.
+    if len(a.nodes) != len(b.nodes) or len(a._arguments) != len(b._arguments):
         return False
-    arguments = a._arguments
-    # Forward preservation plus equal argument-edge counts makes the
-    # correspondence a bijection on argument structure.
-    if len(arguments) != len(b._arguments):
-        return False
-    return _embed(a, b, arguments) is not None
+    return relaxed_embedding(a, b) is not None
 
 
 def exact_isomorphic(a: AmrGraph, b: AmrGraph) -> bool:
@@ -338,7 +323,9 @@ def exact_isomorphic(a: AmrGraph, b: AmrGraph) -> bool:
     role. Used for serialization round-trips, never for inference."""
     if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
         return False
-    return _embed(a, b, a.edges, root=b.root) is not None
+    if a.nodes[a.root] != b.nodes[b.root] or not _fits(a, b):
+        return False
+    return _search(a.nodes, b, a.edges, {a.root: b.root}) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -170,10 +170,11 @@ def scan_subgraph_at(g: AmrGraph, node) -> AmrGraph:
 def scan_attachment_site(g_c: AmrGraph, g_x: AmrGraph, g_other: AmrGraph):
     """Classifier step 5 as it was before each subtree was checked in
     place: every candidate edge's target subtree is built as a graph by
-    ``subgraph_at`` and tested with ``relaxed_subset``, against the
-    non-pivot premise and then the pivot. It checks every candidate edge:
-    no subtree is skipped for lying inside one that embeds in both
-    premises."""
+    ``subgraph_at`` and tested with ``relaxed_embedding``, against the
+    non-pivot premise and then the pivot. That search runs on the stored
+    argument edges, not on the walk that step 5 and ``relaxed_subset``
+    share. It checks every candidate edge: no subtree is skipped for lying
+    inside one that embeds in both premises."""
     cx = g_x.concepts()
     cother = g_other.concepts()
     for e in g_c.edges:
@@ -185,9 +186,9 @@ def scan_attachment_site(g_c: AmrGraph, g_x: AmrGraph, g_other: AmrGraph):
         if src in cother and src not in cx:
             continue
         sub = g_c.subgraph_at(e.target)
-        if not graph_module.relaxed_subset(sub, g_other):
+        if graph_module.relaxed_embedding(sub, g_other) is None:
             continue
-        if graph_module.relaxed_subset(sub, g_x):
+        if graph_module.relaxed_embedding(sub, g_x) is not None:
             continue
         if e.is_argument or g_c.nodes[e.target] in cx:
             return e

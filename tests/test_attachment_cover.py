@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amrinfer.classify import EntailmentTriple, _attachment_site, _pivot, classify, tokenize
-from amrinfer.graph import AmrGraph, Edge, insert_argument
+from amrinfer.graph import AmrGraph, Edge, insert_argument, relaxed_subset
 from amrinfer.taxonomy import InferenceType
 
 from tests.generators import _chain, _stmt, fuzz_penman_graph, layered_graph, synthetic_corpus
@@ -104,6 +104,8 @@ def test_deep_chain_is_checked_once():
     p1, p2 = _chain(800, 0), _chain(800, 1)
     c = AmrGraph(p1.root, {**p1.nodes, "z": "person"}, p1.edges + (Edge(p1.root, ":ARG2", "z"),))
     t = EntailmentTriple(_stmt(p1), _stmt(p2), _stmt(c))
+    # Collected first, as below.
+    gc.collect()
     start = time.process_time()
     result = classify(t)
     assert time.process_time() - start < 0.25
@@ -130,3 +132,18 @@ def test_deep_chain_stored_child_first():
     assert time.process_time() - start < 0.5
     assert result.type is InferenceType.ARG_INS
     assert result.evidence.rule == "argument-insertion"
+
+
+def test_child_first_containment():
+    """``relaxed_subset`` of a 400-node chain with its edges stored in
+    reverse, into the chain itself. It is the walk of
+    ``relaxed_subset_at`` at the root, which collects the argument edges
+    parent first, so each node draws from its parent's partner. Searching
+    in stored order drew each node from its whole concept bucket: about
+    0.6 s of CPU on a 2-CPU x86-64 machine, against 1.2 ms in walk order."""
+    outer = _chain(400, 0)
+    inner = AmrGraph(outer.root, outer.nodes, outer.edges[::-1])
+    gc.collect()
+    start = time.process_time()
+    assert relaxed_subset(inner, outer)
+    assert time.process_time() - start < 0.1

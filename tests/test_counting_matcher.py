@@ -5,13 +5,21 @@ the brute-force oracles, and a pigeonhole failure is found by counting."""
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amrinfer.graph import AmrGraph, Concept, Edge, relaxed_isomorphic, relaxed_subset
+from amrinfer.graph import (
+    AmrGraph,
+    Concept,
+    Edge,
+    exact_isomorphic,
+    relaxed_isomorphic,
+    relaxed_subset,
+)
 
 from tests.generators import random_graph
 from tests.oracle import brute_isomorphic, brute_subset
@@ -75,6 +83,25 @@ def test_pigeonhole_failure_is_counted_not_searched():
     assert not relaxed_subset(inner, outer)
     assert time.process_time() - start < 1.0
     assert relaxed_subset(_block(19, 3), outer)
+
+
+def _and_of(children: list[str]) -> AmrGraph:
+    names = [f"c{i}" for i in range(len(children))]
+    nodes = {"a": Concept("and"), **{n: Concept(c) for n, c in zip(names, children)}}
+    return AmrGraph("a", nodes, tuple(Edge("a", ":ARG0", n) for n in names))
+
+
+def test_exact_isomorphism_counts_before_it_searches():
+    # Twelve `thing` children and a `rock` against thirteen `thing`
+    # children: the sizes and roots agree, and the concept count tells
+    # them apart before any search. The search assumes that count holds:
+    # it looks up each concept's bucket in `b` and has none for `rock`.
+    a = _and_of(["thing"] * 12 + ["rock"])
+    b = _and_of(["thing"] * 13)
+    gc.collect()
+    start = time.process_time()
+    assert not exact_isomorphic(a, b)
+    assert time.process_time() - start < 0.05
 
 
 def test_match_index_is_lazy_and_not_part_of_the_value():

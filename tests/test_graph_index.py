@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amrinfer.errors import AmrError, GraphInvariantError
-from amrinfer.graph import AmrGraph, Concept, Edge, conjoin_graphs
+from amrinfer.errors import AmrError, GraphInvariantError, InvalidSiteError
+from amrinfer.graph import AmrGraph, Concept, Edge, conjoin_graphs, relaxed_subset_at
 from amrinfer.penman import parse_penman, serialize_penman
 from amrinfer.taxonomy import InferenceType
 from amrinfer.transform import TransformRequest, transform
@@ -91,6 +91,27 @@ def test_carve_removes_exactly_what_the_root_no_longer_reaches(g):
     for at in g.nodes:
         if at != g.root:
             assert set(g.nodes) - set(g.closure(g.root, at)) == brute_carve(g, at)
+
+
+@pytest.mark.parametrize("method", ["closure", "subgraph_at"])
+@pytest.mark.parametrize("node, cut", [("zz", None), ("a", "a")])
+def test_a_walk_from_no_node_or_from_its_cut_is_refused(method, node, cut):
+    # A missing node raised KeyError, a missing node's closure was itself,
+    # and the subgraph at its own cut had no nodes and did not serialize.
+    g = parse_penman("(a / b :ARG0 (c / d))")
+    with pytest.raises(InvalidSiteError):
+        getattr(g, method)(node, cut)
+    assert g.closure("a", "c") == ["a"]
+    assert serialize_penman(g.subgraph_at("a", "c")) == "(a / b)"
+
+
+def test_containment_from_no_node_is_refused():
+    # The containment of ``subgraph_at(node)`` refuses the same missing
+    # node; it raised KeyError, which is not an AmrError.
+    g = parse_penman("(a / b :ARG0 (c / d))")
+    with pytest.raises(InvalidSiteError):
+        relaxed_subset_at(g, "zz", g)
+    assert relaxed_subset_at(g, "c", g)
 
 
 def test_index_is_not_part_of_the_value():

@@ -10,7 +10,7 @@ import pytest
 
 from amrinfer.amr import AmrGraph, Constant, Edge
 from amrinfer.errors import GraphInvariantError
-from amrinfer.graph import graph_difference, relaxed_subset
+from amrinfer.graph import graph_difference, relaxed_embedding
 from amrinfer.penman import parse_penman, serialize_penman
 from amrinfer.taxonomy import InferenceType
 from amrinfer.transform import TransformRequest, transform
@@ -112,7 +112,8 @@ class TestGraph:
     def test_built_indexes_are_not_part_of_the_value(self):
         g, same = parse_penman(TEXT), parse_penman(TEXT)
         text = repr(g)
-        assert relaxed_subset(g, same) and relaxed_subset(same, g) and g.has_concept("food")
+        assert relaxed_embedding(g, same) is not None and relaxed_embedding(same, g) is not None
+        assert g.has_concept("food")
         assert {"_out", "_buckets", "_edge_set", "_arguments"} <= set(vars(g))
         assert "_buckets" not in vars(parse_penman(TEXT))
         assert g == same and same == g
