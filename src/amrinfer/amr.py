@@ -87,7 +87,11 @@ def _out_index(edges: tuple[Edge, ...]) -> dict[NodeId, list[int]]:
     """Source -> positions of its out-edges in ``edges``, ascending."""
     out: dict[NodeId, list[int]] = {}
     for i, e in enumerate(edges):
-        out.setdefault(e.source, []).append(i)
+        source = e[0]
+        if source in out:
+            out[source].append(i)
+        else:
+            out[source] = [i]
     return out
 
 
@@ -125,7 +129,7 @@ class AmrGraph:
 
     A graph is checked once, when it is built, and trusted after that:
     nothing checks it again, so its ``nodes`` dict must not be changed
-    afterwards. Both indexes below rely on the same rule. The public
+    afterwards. The indexes below rely on the same rule. The public
     constructor always validates, and so does :func:`apply_delta`, whose
     delta may come from a caller. Every other maker derives its graph
     from valid graphs, proves every invariant itself and builds through
@@ -139,16 +143,16 @@ class AmrGraph:
     ARG/PRED-GEN's two-node graph. Each states its proof beside its
     code.
 
-    Construction indexes each node's out-edges once, so construction,
-    validation, :meth:`outgoing`, :meth:`closure` and :meth:`subgraph_at`
-    run in time linear in the nodes and edges they touch. The Penman
-    reader fills that out-edge index as it reads the edges and hands it to
-    :meth:`_built`, so a parsed graph is not scanned again to build it.
-    The match index (concept buckets, edge set and argument edges) is
-    built lazily, each part on first use, and then kept in the instance
-    ``__dict__``, so parsing and loading pay nothing for it. Neither index
-    is part of the value, so equality and ``repr`` see only the root, the
-    nodes and the edges.
+    Each node's out-edges are indexed once, so validation,
+    :meth:`outgoing`, :meth:`closure` and :meth:`subgraph_at` run in time
+    linear in the nodes and edges they touch. All four indexes, the
+    out-edge index and the match index (concept buckets, edge set and
+    argument edges), are built lazily, each on first use, and then kept
+    in the instance ``__dict__``: :meth:`_built` takes no index, so
+    parsing, loading and the edits pay nothing for an index that nothing
+    reads, and the public constructor builds the out-edge index only
+    because validation walks it. No index is part of the value, so
+    equality and ``repr`` see only the root, the nodes and the edges.
     """
 
     root: NodeId
@@ -162,27 +166,19 @@ class AmrGraph:
         edges: Iterable[Edge | tuple],
     ) -> None:
         edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
-        vars(self).update(root=root, nodes=nodes, edges=edges, _out=_out_index(edges))
+        vars(self).update(root=root, nodes=nodes, edges=edges)
         self.validate()
 
     @classmethod
     def _built(
-        cls,
-        root: NodeId,
-        nodes: dict[NodeId, Concept],
-        edges: tuple[Edge, ...],
-        out: dict[NodeId, list[int]] | None = None,
+        cls, root: NodeId, nodes: dict[NodeId, Concept], edges: tuple[Edge, ...]
     ) -> "AmrGraph":
         """A graph whose maker has proved every invariant that
         :meth:`validate` checks; not validated. Every edge must already be
-        an :class:`Edge`. ``out`` is the out-edge index when the maker has
-        it, as the Penman reader and :func:`relabel_node` do; otherwise it
-        is built as the constructor builds it. Only the makers listed in
-        the class docstring call it."""
+        an :class:`Edge`. Only the makers listed in the class docstring
+        call it."""
         g = object.__new__(cls)
-        if out is None:
-            out = _out_index(edges)
-        vars(g).update(root=root, nodes=nodes, edges=edges, _out=out)
+        vars(g).update(root=root, nodes=nodes, edges=edges)
         return g
 
     def __eq__(self, other: object) -> bool:
@@ -294,7 +290,12 @@ class AmrGraph:
             tuple([edges[i] for i in positions if edges[i].target != cut]),
         )
 
-    # -- match index: each part built on first use, then kept --------------
+    # -- indexes: each built on first use, then kept -----------------------
+
+    @_lazy
+    def _out(self) -> dict[NodeId, list[int]]:
+        """Each node's out-edge positions in ``edges``, ascending."""
+        return _out_index(self.edges)
 
     @_lazy
     def _buckets(self) -> dict[Concept, list[NodeId]]:

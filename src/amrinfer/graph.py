@@ -678,8 +678,9 @@ def relabel_node(g: AmrGraph, at: NodeId, concept: Concept) -> AmrGraph:
     predicate-substitution edit: the node keeps its arguments.
 
     Valid by construction: the root, node keys and edges of a valid graph
-    are kept, so its out-edge index, never mutated, is shared."""
+    are kept. The new graph shares the edges tuple and builds its own
+    indexes on first use."""
     if at not in g.nodes:
         raise InvalidSiteError(f"{at!r} is not a node of the graph")
     nodes = {n: (concept if n == at else c) for n, c in g.nodes.items()}
-    return AmrGraph._built(g.root, nodes, g.edges, g._out)
+    return AmrGraph._built(g.root, nodes, g.edges)

@@ -20,10 +20,12 @@ a node with out-edges is pushed.
 A document is read as the root's ``( var / concept`` and then one pass
 of a single pattern whose matches are whole steps: a role with the
 ``( var / concept`` it opens or with its constant or reference target,
-and a ``)``. The pattern ends each token where the token grammar below
-ends it, so the steps read the text as the same tokens that grammar
-does. Each edge is complete at its step, so the out-edge index is filled
-as the edges are read. The read proves every invariant that
+and a ``)``. A leaf instance's ``)`` belongs to the step that opens it,
+so a leaf is one step and never waits on the stack. The pattern ends
+each token where the token grammar below ends it, so the steps read the
+text as the same tokens that grammar does. Each edge is complete at its
+step, and no index is filled while reading: the graph builds each index
+on first use. The read proves every invariant that
 :meth:`AmrGraph.validate` checks, so it builds its graph without
 validating it again.
 
@@ -60,17 +62,18 @@ _PLAIN = rf"(?!{_STRING})[^\s()/:]+"
 # The root's ``( var / concept``.
 _ROOT = re.compile(rf"\s*\(\s*({_VARIABLE})\s*/\s*({_PLAIN})")
 # One step of a well-formed document per match, as the groups (close,
-# role, var, concept, string, reference, constant): a ``)``, or a role
-# with the ``( var / concept`` it opens or with its leaf target. Any other
-# character is a step of empty groups. The lookaheads end a role and a
-# reference where their tokens end, so no match splits the text into
-# other tokens than ``_TOKEN`` does.
+# role, var, concept, closed, string, reference, constant): a ``)``, or
+# a role with the ``( var / concept`` it opens, and that instance's
+# ``)`` when it has no edges (a leaf instance), or with its leaf target.
+# Any other character is a step of empty groups. The lookaheads end a
+# role and a reference where their tokens end, so no match splits the
+# text into other tokens than ``_TOKEN`` does.
 _STEP = re.compile(
     rf"""\s*(?:
         (\))
       | (:[^\s()/]+)(?![^\s()/])\s*
         (?:
-            \(\s*({_VARIABLE})\s*/\s*({_PLAIN})
+            \(\s*({_VARIABLE})\s*/\s*({_PLAIN})\s*(\))?
           | ({_STRING})
           | ({_VARIABLE})(?![^\s()/:])
           | ({_PLAIN})
@@ -84,10 +87,12 @@ _STEP = re.compile(
 def _read(text: str) -> AmrGraph | None:
     """The graph of a well-formed document, read as the root's match and
     one ``findall`` of whole steps, or None when it is not one. The
-    instances open around the current one wait on a stack. Each edge is
-    complete at its own step, since a role that opens an instance names
-    the child's variable there, so edges and the out-edge index are
-    filled in the document order of the roles. The graph is built without
+    instances open around the current one wait on a stack; a leaf
+    instance's ``)`` belongs to its step, so a leaf is never pushed. Each
+    edge is complete at its own step, since a role that opens an instance
+    names the child's variable there, so edges are listed in the document
+    order of the roles. No index is filled while reading: the graph builds
+    each on first use. The graph is built without
     :meth:`AmrGraph.validate`, because the read proves every invariant it
     checks: the root is the first variable, every instance is nested
     under the root, no variable is defined twice, no edge is repeated and
@@ -103,10 +108,9 @@ def _read(text: str) -> AmrGraph | None:
         return None
     nodes: dict[NodeId, Concept] = {var: concept}
     edges: list[Edge] = []
-    out: dict[NodeId, list[int]] = {}
     references: list[NodeId] = []
     stack: list[NodeId] = []
-    for close, role, child, concept, string, ref, const in steps:
+    for close, role, child, concept, closed, string, ref, const in steps:
         if close:
             if not stack:
                 return None
@@ -118,30 +122,27 @@ def _read(text: str) -> AmrGraph | None:
             if child in nodes:
                 return None
             nodes[child] = concept
-            target = child
-        elif string:
+            edges.append(tuple.__new__(Edge, (var, role, child)))
+            if not closed:
+                stack.append(var)
+                var = child
+            continue
+        if string:
             target = Constant(string[1:-1], is_string=True)
         elif ref:
             references.append(ref)
             target = ref
         else:
             target = Constant(const)
-        positions = out.get(var)
-        if positions is None:
-            out[var] = [len(edges)]
-        else:
-            positions.append(len(edges))
         edges.append(tuple.__new__(Edge, (var, role, target)))
-        if child:
-            stack.append(var)
-            var = child
-    if (
-        stack
-        or len(set(edges)) != len(edges)
+    # An instance edge leads to the variable it defines, so only a leaf
+    # edge (a constant or a reference) can repeat an edge or name no node.
+    if stack or len(edges) >= len(nodes) and (
+        len(set(edges)) != len(edges)
         or references and not nodes.keys() >= set(references)
     ):
         return None
-    return AmrGraph._built(var, nodes, tuple(edges), out)
+    return AmrGraph._built(var, nodes, tuple(edges))
 
 
 def _first_error(text: str, origin: str | None) -> NoReturn:
@@ -152,7 +153,8 @@ def _first_error(text: str, origin: str | None) -> NoReturn:
     read again token by token from its start, and the first token that
     does not fit the grammar names the error. An instance's edge is
     complete at its ``)``, so an error inside the instance comes before a
-    duplicate of that edge. A reference never defined comes last."""
+    duplicate of that edge; a leaf instance's, at its own step. A
+    reference never defined comes last."""
 
     def fail(message: str, at: int | None = None) -> NoReturn:
         """Raise the error at offset ``at``, or at the end of the input."""
@@ -197,7 +199,7 @@ def _first_error(text: str, origin: str | None) -> NoReturn:
     # instance and the role's offset.
     stack: list[tuple[NodeId, str, int]] = []
     for step in _STEP.finditer(text, root.end()):
-        close, role, child, _, string, ref, const = step.groups()
+        close, role, child, _, closed, string, ref, const = step.groups()
         if var is None:
             token = _TOKEN.search(text, step.start())
             fail(f"trailing input {token[0]!r}", token.start())
@@ -218,12 +220,14 @@ def _first_error(text: str, origin: str | None) -> NoReturn:
             if child in nodes:
                 fail(f"duplicate variable definition {child!r}", step.start(3))
             nodes.add(child)
-            stack.append((var, role, step.start(2)))
-            var = child
-            continue
+            if not closed:
+                stack.append((var, role, step.start(2)))
+                var = child
+                continue
+            edge, at = (var, role, child), step.start(2)
         else:
             if ref:
-                references.append((ref, step.start(6)))
+                references.append((ref, step.start(7)))
             # A target's token stands for it: a string keeps its quotes.
             edge, at = (var, role, string or ref or const), step.start(2)
         if edge in edges:

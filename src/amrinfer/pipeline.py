@@ -20,8 +20,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 
+from .amr import _lazy
 from .classify import ClassificationResult, EntailmentTriple, Statement, classify
 from .errors import AmrError, MissingTypeError, RecordError
 from .graph import AmrGraph
@@ -44,7 +44,7 @@ class CorpusRecord:
     predicted_type: InferenceType | None = None
     evidence: dict | None = None
 
-    @cached_property
+    @_lazy
     def graphs(self) -> tuple[AmrGraph, AmrGraph, AmrGraph]:
         """The three AMRs, parsed on first use and kept. The cache lives in
         the instance ``__dict__``, outside the dataclass fields, so it
@@ -84,13 +84,15 @@ def record_from_json(line: str) -> CorpusRecord:
     ]
     if missing:
         raise ValueError(f"missing or empty fields: {', '.join(missing)}")
-    gold = data.get("gold_type")
-    predicted = data.get("predicted_type")
+    # A missing, null or empty type means untyped.
+    types = {}
+    for f in ("gold_type", "predicted_type"):
+        name = data.get(f)
+        if name is not None and not isinstance(name, str):
+            raise ValueError(f"{f} is neither a string nor null: {json.dumps(name)}")
+        types[f] = lookup_type(name) if name else None
     record = CorpusRecord(
-        **{f: data[f] for f in REQUIRED_FIELDS},
-        gold_type=lookup_type(gold) if gold else None,
-        predicted_type=lookup_type(predicted) if predicted else None,
-        evidence=data.get("evidence"),
+        **{f: data[f] for f in REQUIRED_FIELDS}, **types, evidence=data.get("evidence")
     )
     # Parse the graphs eagerly so bad AMR is caught at load time.
     record.graphs

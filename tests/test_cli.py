@@ -456,6 +456,31 @@ def test_typed_records_still_have_their_amr_checked_at_load(command, tmp_path, c
             assert len(handle.readlines()) == len(lines) - 1
 
 
+@pytest.mark.parametrize("command", ["annotate", "stats"])
+@pytest.mark.parametrize("field", ["gold_type", "predicted_type"])
+@pytest.mark.parametrize("value", [5, 0, False, ["ARG-SUB"]])
+def test_a_type_that_is_no_string_makes_a_bad_line(command, field, value, tmp_path, capsys):
+    # It reached the commands as "'int' object has no attribute 'strip'".
+    lines = Path(sample_corpus_path()).read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    record[field] = value
+    lines[0] = json.dumps(record)
+    # A missing key, null and "" still mean untyped.
+    for i, untyped in ((1, None), (2, "")):
+        record = json.loads(lines[i])
+        record.pop("gold_type")
+        record[field] = untyped
+        lines[i] = json.dumps(record)
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = str(tmp_path / "out.jsonl")
+    args = {"annotate": ["--output", out], "stats": ["--format", "json"]}[command]
+    assert main([command, "--input", str(path), *args]) == 0
+    err = capsys.readouterr().err
+    assert f"skipped line 1: {field} is neither a string nor null: {json.dumps(value)}" in err
+    assert "skipped line 2" not in err and "skipped line 3" not in err
+
+
 _BOM = b"\xef\xbb\xbf"
 
 

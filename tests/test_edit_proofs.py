@@ -66,6 +66,9 @@ def _conditional(rng: random.Random) -> AmrGraph:
 
 def assert_proved(out: AmrGraph) -> None:
     assert all(type(e) is Edge for e in out.edges)
+    # The out-edge index is built on first use; the constructor's
+    # validation reads it, so read it here too and compare it as well.
+    out._out
     assert vars(out) == vars(AmrGraph(out.root, dict(out.nodes), out.edges))
 
 

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amrinfer.amr import _out_index
 from amrinfer.errors import AmrError, GraphInvariantError, InvalidSiteError
 from amrinfer.graph import AmrGraph, Concept, Edge, conjoin_graphs, relaxed_subset_at
 from amrinfer.penman import parse_penman, serialize_penman
+from amrinfer.pipeline import load_corpus, sample_corpus_path
 from amrinfer.taxonomy import InferenceType
 from amrinfer.transform import TransformRequest, transform
 
@@ -126,6 +128,21 @@ def test_index_is_not_part_of_the_value():
     assert same.outgoing("g") == [Edge("g", ":ARG0", "b")]
     with pytest.raises(GraphInvariantError, match="not reachable from root: x"):
         same.validate()
+
+
+def test_out_edge_index_is_built_on_first_use():
+    # Neither reading nor loading builds an index; the first walk does.
+    text = "(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-01 :ARG0 b :polarity -))"
+    records, errors = load_corpus(sample_corpus_path())
+    assert records and not errors
+    loaded = [g for r in records for g in r.graphs]
+    for g in [parse_penman(text), *loaded]:
+        assert set(vars(g)) == {"root", "nodes", "edges"}
+    walked, written = parse_penman(text), loaded[0]
+    walked.outgoing("g")
+    serialize_penman(written)
+    for g in (walked, written):
+        assert g._out == _out_index(g.edges)
 
 
 def test_large_graph_stays_linear():

@@ -139,6 +139,13 @@ def test_reader_matches_tuple_token_reference(seed, edits, origin):
         "(a / b :c d :c (d / e :f (a / x)))",
         "(a / b :c d :c (d / e :f))",
         "(a / b :c (a / e))",
+        # A leaf instance's ``)`` is read in the step that opens it.
+        "(a / b :c (d / e ) )",
+        "(a / b :c (d / e)\n)",
+        "(a / b :c (d / e) :c d)",
+        "(a / b :c (d / e)))",
+        "(a / b :c (d / e)",
+        "(a / b :c (d / e) :f d)",
         "(1a / b)",
         "(a b)",
         "a / b",
