@@ -253,7 +253,8 @@ class AmrGraph:
         """Nodes reachable from ``node`` along edge direction, in a stable
         depth-first order (constants excluded), never entering ``cut``,
         which starts out seen, so no edge pays a test, and is dropped at
-        the end. Raises :class:`InvalidSiteError` when ``node`` is not a
+        the end. What a cut leaves of the whole graph is :meth:`carve`'s
+        question. Raises :class:`InvalidSiteError` when ``node`` is not a
         node or is ``cut``."""
         if node == cut or node not in self.nodes:
             raise InvalidSiteError(f"no walk from {node!r}: not a node, or the cut")
@@ -272,6 +273,24 @@ class AmrGraph:
         if cut is not None:
             del seen[cut]
         return list(seen)
+
+    def carve(self, at: NodeId) -> set[NodeId]:
+        """``at`` plus every node that the root no longer reaches once
+        ``at`` is gone. Only ``at``'s closure can go, and a node of it
+        survives when a walk that never enters ``at`` reaches it from the
+        root or along an edge from outside. Raises
+        :class:`InvalidSiteError` when ``at`` is not a node."""
+        carved = set(self.closure(at))
+        edges, out = self.edges, self._out
+        stack = [e[2] for e in edges if e[2] in carved and e[0] not in carved]
+        if self.root in carved:
+            stack.append(self.root)
+        while stack:
+            n = stack.pop()
+            if n in carved and n != at:
+                carved.remove(n)
+                stack.extend([edges[i][2] for i in out.get(n, ())])
+        return carved
 
     def subgraph_at(self, node: NodeId, cut: NodeId | None = None) -> "AmrGraph":
         """The subgraph rooted at ``node``: its closure, never entering

@@ -563,16 +563,22 @@ def _fresh_name(base: str, taken: set[str]) -> str:
 
 def _import_nodes(
     graph: AmrGraph, taken: set[NodeId]
-) -> tuple[dict[NodeId, Concept], list[Edge], dict[NodeId, NodeId]]:
+) -> tuple[dict[NodeId, Concept], Sequence[Edge], dict[NodeId, NodeId]]:
     """Copy a graph's nodes and edges, renaming variables that would clash.
-    The counter-based renaming is deterministic."""
+    The counter-based renaming is deterministic. When no variable is
+    renamed, the graph's own edges are returned."""
     rename: dict[NodeId, NodeId] = {}
     nodes: dict[NodeId, Concept] = {}
+    # The graph's own variables are distinct, so only one taken before
+    # the copy can clash.
+    renamed = not taken.isdisjoint(graph.nodes)
     for n, c in graph.nodes.items():
-        fresh = _fresh_name(n, taken)
+        fresh = _fresh_name(n, taken) if n in taken else n
         taken.add(fresh)
         rename[n] = fresh
         nodes[fresh] = c
+    if not renamed:
+        return nodes, graph.edges, rename
     edges = [
         Edge(
             rename[e.source],
@@ -593,12 +599,12 @@ def substitute_subgraph(
     nodes under ``at`` that the rest of the graph still references survive.
     Replacement variables are freshened against the survivors.
 
-    Valid by construction: the survivors, ``g.closure(g.root, at)``, are
-    the nodes still reachable once ``at`` is gone (every node of a valid
-    graph is reachable from its root), each along kept edges. ``at`` is
-    not the root, so a survivor's edge into ``at`` now reaches the
-    replacement's root; fresh variables keep every new edge distinct
-    from the kept ones.
+    Valid by construction: the survivors, the nodes outside
+    ``g.carve(at)``, are the nodes still reachable once ``at`` is gone
+    (every node of a valid graph is reachable from its root), each along
+    kept edges. ``at`` is not the root, so a survivor's edge into ``at``
+    now reaches the replacement's root; fresh variables keep every new
+    edge distinct from the kept ones.
     """
     if at not in g.nodes:
         raise InvalidSiteError(f"{at!r} is not a node of the graph")
@@ -607,14 +613,14 @@ def substitute_subgraph(
             "substitution at the root replaces the whole graph; "
             "use the replacement directly"
         )
-    alive = set(g.closure(g.root, at))
-    nodes = {n: c for n, c in g.nodes.items() if n in alive}
+    carved = g.carve(at)
+    nodes = {n: c for n, c in g.nodes.items() if n not in carved}
     new_nodes, new_edges, rename = _import_nodes(replacement, set(nodes))
     spliced = rename[replacement.root]
 
     edges: list[Edge] = []
     for e in g.edges:
-        if e.source not in alive:
+        if e.source in carved:
             continue
         if e.target == at:
             e = Edge(e.source, e.role, spliced)

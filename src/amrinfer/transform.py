@@ -213,11 +213,12 @@ def _made_of(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
 # ---------------------------------------------------------------------------
 
 
-def _parent_argument_edge(g: AmrGraph, node: NodeId) -> Edge | None:
-    for e in g.edges:
-        if e.target == node and e.is_argument:
-            return e
-    return None
+def _argument_parents(g: AmrGraph) -> dict[NodeId, Edge]:
+    """Each node's first argument in-edge, in stored edge order."""
+    parents: dict[NodeId, Edge] = {}
+    for e in g._arguments:
+        parents.setdefault(e.target, e)
+    return parents
 
 
 def _arg_ins(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
@@ -244,16 +245,19 @@ def _arg_ins(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
     # A candidate whose insertion would duplicate an attachment the host
     # already has is skipped for the next one.
     duplicated = False
+    parents: dict[int, dict[NodeId, Edge]] = {}
     for n1, n2, _ in _bridges(p1, p2, hint):
         for donor, donor_node, host, site in (
             (p1, n1, p2, n2),
             (p2, n2, p1, n1),
         ):
-            parent = _parent_argument_edge(donor, donor_node)
-            if parent is None or donor_node == donor.root:
+            if donor_node == donor.root:
                 continue
+            if id(donor) not in parents:
+                parents[id(donor)] = _argument_parents(donor)
+            parent = parents[id(donor)].get(donor_node)
             # The frame left once the bridge is cut out, if it survives.
-            if parent.source not in donor.closure(donor.root, donor_node):
+            if parent is None or parent.source in donor.carve(donor_node):
                 continue
             frame = donor.subgraph_at(parent.source, donor_node)
             try:

@@ -14,6 +14,7 @@ from amrinfer.classify import (
     EntailmentTriple,
     Statement,
     _attachment_site,
+    _lemma_candidates,
     _lexical_signal,
     _pivot,
     _word_diff,
@@ -76,6 +77,10 @@ class TestMostSimilarPremise:
         assert jaccard(tokenize(p2), tokenize(c)) > jaccard(tokenize(p1), tokenize(c))
         assert _pivot(*_words(_triple(p1, p2, c))) == 2
 
+    def test_a_statement_without_words_shares_none(self):
+        assert jaccard([], ["a"]) == 0.0
+        assert jaccard([], []) == 1.0
+
     def test_tie_breaks_to_premise_one(self):
         t = _triple("solar wind", "lunar wind", "stellar wind")
         assert _pivot(*_words(t)) == 1
@@ -128,6 +133,10 @@ class TestIsVerb:
     )
     def test_suffix_rules(self, word, concept):
         assert is_verb(word, AMR(f"(x / {concept})"))
+
+    @pytest.mark.parametrize("word", ["bed", "is"])
+    def test_a_short_word_keeps_its_suffix(self, word):
+        assert _lemma_candidates(word) == {word}
 
 
 class TestLexicalSignal:

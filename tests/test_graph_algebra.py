@@ -17,6 +17,7 @@ from amrinfer.graph import (
     AmrGraph,
     Concept,
     Edge,
+    _fresh_name,
     conjoin_graphs,
     insert_argument,
     is_argument_role,
@@ -25,7 +26,7 @@ from amrinfer.graph import (
     relaxed_subset,
     substitute_subgraph,
 )
-from amrinfer.penman import parse_penman
+from amrinfer.penman import parse_penman, serialize_penman
 
 from tests.generators import random_graph
 from tests.oracle import brute_isomorphic, brute_subset
@@ -247,6 +248,13 @@ class TestConjoin:
             " :op2 (r / release-01 :ARG0 (r2 / respiration) :ARG1 (e2 / energy)))"
         )
         assert relaxed_isomorphic(conjoin_graphs(a, b), want)
+
+    def test_a_clash_takes_the_next_free_suffix(self):
+        assert _fresh_name("a", {"a", "a2"}) == "a3"
+        got = conjoin_graphs(AMR("(a / x :ARG0 (a2 / y))"), AMR("(a / z)"))
+        assert serialize_penman(got) == (
+            "(a / and :op1 (a2 / x :ARG0 (a22 / y)) :op2 (a3 / z))"
+        )
 
     def test_self_conjunction_shape(self):
         g = AMR("(w / water)")

@@ -89,10 +89,13 @@ def test_reader_and_writer_match_scan_references(g):
 @given(_graphs())
 @settings(max_examples=150, deadline=None)
 def test_carve_removes_exactly_what_the_root_no_longer_reaches(g):
-    # A closure that never enters ``at`` keeps exactly what survives it.
+    # A closure that never enters ``at`` keeps exactly what survives it,
+    # and ``carve`` finds the rest from ``at``'s closure alone.
     for at in g.nodes:
+        carved = brute_carve(g, at)
+        assert g.carve(at) == carved
         if at != g.root:
-            assert set(g.nodes) - set(g.closure(g.root, at)) == brute_carve(g, at)
+            assert set(g.nodes) - set(g.closure(g.root, at)) == carved
 
 
 @pytest.mark.parametrize("method", ["closure", "subgraph_at"])

@@ -175,6 +175,12 @@ class TestErrors:
         with pytest.raises(NoBridgeError, match="duplicate an attachment"):
             transform(TransformRequest(p1, p2, InferenceType.ARG_INS))
 
+    def test_pred_sub_refuses_a_predicate_equated_with_itself(self):
+        link = AMR("(m / mean-01 :ARG1 (e / eat-01) :ARG2 (e2 / eat-01))")
+        host = AMR("(e / eat-01 :ARG0 (b / boy))")
+        with pytest.raises(NoBridgeError):
+            transform(TransformRequest(link, host, InferenceType.PRED_SUB))
+
     def test_no_conditional(self):
         with pytest.raises(NoConditionalError):
             transform(
@@ -244,6 +250,44 @@ class TestEmittedGraphsReparse:
         out.validate()
         text = serialize_penman(out)
         assert serialize_penman(AMR(text)) == text
+
+    @pytest.mark.parametrize(
+        "extra, want",
+        [
+            # Cutting b takes p with it, so the host's frame is inserted
+            # into the donor instead.
+            (
+                [],
+                "(r / own-01 :mod (b / dog :mod (p / parent-01 :ARG1 b)"
+                " :ARG1-of (h / have-03)))",
+            ),
+            # An edge from the root gives p back, so its frame survives.
+            (
+                [("r", ":ARG0", "p")],
+                "(h / have-03 :ARG1 (d / dog :ARG1-of (p / parent-01)))",
+            ),
+        ],
+    )
+    def test_arg_ins_cuts_the_bridge_above_its_parent_frame(self, extra, want):
+        # The bridge b's parent frame p hangs under b.
+        donor = AmrGraph(
+            "r",
+            {"r": "own-01", "b": "dog", "p": "parent-01"},
+            [("p", ":ARG1", "b"), ("r", ":mod", "b"), ("b", ":mod", "p")] + extra,
+        )
+        host = AMR("(h / have-03 :ARG1 (d / dog))")
+        out = transform(TransformRequest(donor, host, InferenceType.ARG_INS))
+        assert serialize_penman(out) == want
+
+    def test_arg_ins_takes_the_first_argument_parent(self):
+        # b has two argument parents; the first in stored order, s, is
+        # the frame that is inserted.
+        donor = AMR("(s / say-01 :ARG0 (b / boy) :ARG1 (g / go-01 :ARG0 b))")
+        host = AMR("(l / like-01 :ARG0 (b / boy))")
+        out = transform(TransformRequest(donor, host, InferenceType.ARG_INS))
+        assert serialize_penman(out) == (
+            "(l / like-01 :ARG0 (b / boy :ARG0-of (s / say-01 :ARG1 (g / go-01))))"
+        )
 
     @pytest.mark.parametrize(
         "general, specific, want",
