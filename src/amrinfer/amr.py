@@ -129,7 +129,9 @@ class AmrGraph:
 
     A graph is checked once, when it is built, and trusted after that:
     nothing checks it again, so its ``nodes`` dict must not be changed
-    afterwards. The indexes below rely on the same rule. The public
+    afterwards. The indexes below rely on the same rule, and so do the
+    edits: an edit's output may share the edges tuple of a graph that it
+    imports or keeps whole, but its ``nodes`` dict is always its own. The public
     constructor always validates, and so does :func:`apply_delta`, whose
     delta may come from a caller. Every other maker derives its graph
     from valid graphs, proves every invariant itself and builds through
@@ -253,23 +255,28 @@ class AmrGraph:
         """Nodes reachable from ``node`` along edge direction, in a stable
         depth-first order (constants excluded), never entering ``cut``,
         which starts out seen, so no edge pays a test, and is dropped at
-        the end. What a cut leaves of the whole graph is :meth:`carve`'s
-        question. Raises :class:`InvalidSiteError` when ``node`` is not a
-        node or is ``cut``."""
+        the end; a node with no out-edges is only marked seen. What a cut
+        leaves of the whole graph is :meth:`carve`'s question. Raises
+        :class:`InvalidSiteError` when ``node`` is not a node or is
+        ``cut``."""
         if node == cut or node not in self.nodes:
             raise InvalidSiteError(f"no walk from {node!r}: not a node, or the cut")
         edges, out = self.edges, self._out
         seen: dict[NodeId, None] = {} if cut is None else {cut: None}
         stack = [node]
+        push = stack.append
         while stack:
             n = stack.pop()
             if n in seen:
                 continue
             seen[n] = None
-            for i in reversed(out.get(n, ())):
-                target = edges[i].target
+            positions = out.get(n)
+            if positions is None:
+                continue
+            for i in reversed(positions):
+                target = edges[i][2]
                 if not isinstance(target, Constant):
-                    stack.append(target)
+                    push(target)
         if cut is not None:
             del seen[cut]
         return list(seen)
@@ -297,17 +304,19 @@ class AmrGraph:
         ``cut``, plus every out-edge of a kept node that does not enter
         ``cut`` (including constant-targeted ones), in stored edge order;
         each is internal, its target a constant or reached through it.
-        Raises :class:`InvalidSiteError` as :meth:`closure` does."""
+        The nodes follow the walk's order. When the walk keeps every node
+        and nothing is cut, every edge is kept, so the subgraph shares
+        this graph's edges tuple. Raises :class:`InvalidSiteError` as
+        :meth:`closure` does."""
         keep = self.closure(node, cut)
-        out, edges = self._out, self.edges
-        positions = sorted(i for n in keep for i in out.get(n, ()))
+        nodes, edges = self.nodes, self.edges
+        if cut is not None or len(keep) < len(nodes):
+            out = self._out
+            positions = sorted(i for n in keep for i in out.get(n, ()))
+            edges = tuple([edges[i] for i in positions if edges[i][2] != cut])
         # Every kept node is reached from ``node`` along kept edges, and
         # the edges are distinct edges of a valid graph: valid.
-        return AmrGraph._built(
-            node,
-            {n: self.nodes[n] for n in keep},
-            tuple([edges[i] for i in positions if edges[i].target != cut]),
-        )
+        return AmrGraph._built(node, {n: nodes[n] for n in keep}, edges)
 
     # -- indexes: each built on first use, then kept -----------------------
 

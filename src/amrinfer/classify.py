@@ -47,6 +47,7 @@ from operator import itemgetter
 
 from .errors import MalformedTripleError
 from .graph import (
+    _ARGUMENT_ROLE,
     AmrGraph,
     Constant,
     Edge,
@@ -231,8 +232,9 @@ def _attachment_site(
     non-pivot material or hang off a coordination node. Relaxable-role
     edges only count when the target's head concept anchors in the pivot
     (a replaced argument), which separates substitution from a fresh
-    :domain link. Each subtree is checked in place, against the non-pivot
-    premise first; most fail at once, on a concept that premise lacks.
+    :domain link. A target whose concept the non-pivot premise lacks is
+    skipped before any walk; every other subtree is checked in place,
+    against the non-pivot premise first.
 
     Containment pins no root, so every subtree inside one that embeds in
     the pivot embeds there too and cannot be a site. Once a target's
@@ -242,17 +244,21 @@ def _attachment_site(
     cx = g_x.concepts()
     cother = g_other.concepts()
     labels = g_c.nodes
+    is_argument = _ARGUMENT_ROLE.match
     covered: set[NodeId] = set()
     for e in g_c.edges:
-        target = e.target
+        source, role, target = e
         if isinstance(target, Constant) or target in covered:
             continue
-        src = labels[e.source]
+        src = labels[source]
         if src in ("and", "or"):
             continue
         if src in cother and src not in cx:
             continue
-        if not (e.is_argument or labels[target] in cx):
+        head = labels[target]
+        if head not in cother:
+            continue
+        if not (is_argument(role) or head in cx):
             continue
         if not relaxed_subset_at(g_c, target, g_other):
             continue

@@ -563,22 +563,22 @@ def _fresh_name(base: str, taken: set[str]) -> str:
 
 def _import_nodes(
     graph: AmrGraph, taken: set[NodeId]
-) -> tuple[dict[NodeId, Concept], Sequence[Edge], dict[NodeId, NodeId]]:
-    """Copy a graph's nodes and edges, renaming variables that would clash.
-    The counter-based renaming is deterministic. When no variable is
-    renamed, the graph's own edges are returned."""
+) -> tuple[dict[NodeId, Concept], Sequence[Edge], NodeId]:
+    """A graph's nodes, edges and root, its variables renamed apart from
+    ``taken``, which gains every name they use. The counter-based
+    renaming is deterministic. A graph that clashes with nothing is
+    shared, not copied: its own nodes dict, edges tuple and root come
+    back, so callers only read them."""
+    if taken.isdisjoint(graph.nodes):
+        taken.update(graph.nodes)
+        return graph.nodes, graph.edges, graph.root
     rename: dict[NodeId, NodeId] = {}
     nodes: dict[NodeId, Concept] = {}
-    # The graph's own variables are distinct, so only one taken before
-    # the copy can clash.
-    renamed = not taken.isdisjoint(graph.nodes)
     for n, c in graph.nodes.items():
         fresh = _fresh_name(n, taken) if n in taken else n
         taken.add(fresh)
         rename[n] = fresh
         nodes[fresh] = c
-    if not renamed:
-        return nodes, graph.edges, rename
     edges = [
         Edge(
             rename[e.source],
@@ -587,7 +587,7 @@ def _import_nodes(
         )
         for e in graph.edges
     ]
-    return nodes, edges, rename
+    return nodes, edges, rename[graph.root]
 
 
 def substitute_subgraph(
@@ -615,16 +615,12 @@ def substitute_subgraph(
         )
     carved = g.carve(at)
     nodes = {n: c for n, c in g.nodes.items() if n not in carved}
-    new_nodes, new_edges, rename = _import_nodes(replacement, set(nodes))
-    spliced = rename[replacement.root]
-
-    edges: list[Edge] = []
-    for e in g.edges:
-        if e.source in carved:
-            continue
-        if e.target == at:
-            e = Edge(e.source, e.role, spliced)
-        edges.append(e)
+    new_nodes, new_edges, spliced = _import_nodes(replacement, set(nodes))
+    edges = [
+        e if e[2] != at else Edge(e[0], e[1], spliced)
+        for e in g.edges
+        if e[0] not in carved
+    ]
     edges.extend(new_edges)
 
     nodes.update(new_nodes)
@@ -648,12 +644,11 @@ def insert_argument(
             raise DuplicateRoleError(
                 f"{frame_head!r} already carries {role} to an equivalent target"
             )
-    taken = set(g.nodes)
-    new_nodes, new_edges, rename = _import_nodes(arg, taken)
+    new_nodes, new_edges, arg_root = _import_nodes(arg, set(g.nodes))
     nodes = dict(g.nodes)
     nodes.update(new_nodes)
     edges = list(g.edges)
-    edges.append(Edge(frame_head, role, rename[arg.root]))
+    edges.append(Edge(frame_head, role, arg_root))
     edges.extend(new_edges)
     return AmrGraph._built(g.root, nodes, tuple(edges))
 
@@ -665,15 +660,12 @@ def conjoin_graphs(a: AmrGraph, b: AmrGraph) -> AmrGraph:
     apart from it and from each other."""
     root = "a"
     taken = {root}
-    a_nodes, a_edges, a_ren = _import_nodes(a, taken)
-    b_nodes, b_edges, b_ren = _import_nodes(b, taken)
+    a_nodes, a_edges, a_root = _import_nodes(a, taken)
+    b_nodes, b_edges, b_root = _import_nodes(b, taken)
     nodes: dict[NodeId, Concept] = {root: "and"}
     nodes.update(a_nodes)
     nodes.update(b_nodes)
-    edges = [
-        Edge(root, ":op1", a_ren[a.root]),
-        Edge(root, ":op2", b_ren[b.root]),
-    ]
+    edges = [Edge(root, ":op1", a_root), Edge(root, ":op2", b_root)]
     edges.extend(a_edges)
     edges.extend(b_edges)
     return AmrGraph._built(root, nodes, tuple(edges))

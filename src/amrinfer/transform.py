@@ -285,16 +285,14 @@ def _frame_conj(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
 
 
 def _conditional_parts(
-    g: AmrGraph,
-) -> tuple[Edge, AmrGraph, list[NodeId]] | None:
-    """Split a conditional premise at its root :condition edge into the
-    consequent graph and the antecedent placeholders that re-enter it.
-    The consequent is valid by construction: the nodes reachable from the
-    root without crossing the :condition edge, with every other out-edge
-    of theirs, whose target the walk reached along it."""
-    cond = g.child_edge(g.root, ":condition")
-    if cond is None:
-        return None
+    g: AmrGraph, cond: Edge
+) -> tuple[AmrGraph, list[NodeId]]:
+    """Split a conditional premise at its root :condition edge ``cond``,
+    one of ``g.edges`` and told apart by identity, into the consequent
+    graph and the antecedent placeholders that re-enter it. The
+    consequent is valid by construction: the nodes reachable from the
+    root without crossing ``cond``, with every other out-edge of theirs,
+    whose target the walk reached along it."""
     antecedent_nodes = set(g.closure(cond.target))
     # Consequent: reachable from the root without crossing the :condition
     # edge: ``closure``'s cut removes a node, not an edge. Placeholders
@@ -302,23 +300,27 @@ def _conditional_parts(
     edges, out = g.edges, g._out
     seen: dict[NodeId, None] = {}
     stack = [g.root]
+    push = stack.append
     while stack:
         n = stack.pop()
         if n in seen:
             continue
         seen[n] = None
-        for i in out.get(n, ()):
+        positions = out.get(n)
+        if positions is None:
+            continue
+        for i in positions:
             e = edges[i]
-            if e == cond or isinstance(e.target, Constant):
-                continue
-            stack.append(e.target)
+            target = e[2]
+            if e is not cond and not isinstance(target, Constant):
+                push(target)
     consequent_nodes = {n: g.nodes[n] for n in seen}
     consequent_edges = tuple(
-        e for e in edges if e != cond and e.source in consequent_nodes
+        [e for e in edges if e is not cond and e[0] in consequent_nodes]
     )
     consequent = AmrGraph._built(g.root, consequent_nodes, consequent_edges)
     placeholders = [n for n in seen if n in antecedent_nodes and n != g.root]
-    return cond, consequent, placeholders
+    return consequent, placeholders
 
 
 def _bind_placeholder(
@@ -346,16 +348,15 @@ def _cond_frame(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
     # occurs in the other premise binds.
     conditional = False
     for rule_graph, fact in ((p1, p2), (p2, p1)):
-        parts = _conditional_parts(rule_graph)
-        if parts is None:
+        cond = rule_graph.child_edge(rule_graph.root, ":condition")
+        if cond is None:
             continue
         conditional = True
-        cond, consequent, placeholders = parts
         antecedent_head = rule_graph.nodes[cond.target]
         anchor = next((n for n, c in fact.nodes.items() if c == antecedent_head), None)
         if anchor is None:
             continue
-        out = consequent
+        out, placeholders = _conditional_parts(rule_graph, cond)
         for placeholder in placeholders:
             if placeholder not in out.nodes:
                 continue
@@ -378,17 +379,23 @@ def _variable_for(concept: Concept, fallback: str) -> NodeId:
 
 
 def _generalise(p1: AmrGraph, p2: AmrGraph, hint) -> AmrGraph:
-    # Counting is exact: nodes align only to nodes of the same concept, and
-    # edges never decide which nodes may align, so a maximum alignment of
-    # p1 into p2, and the greedy one used past the search's cap or budget,
-    # maps min(count in p1, count in p2) nodes of every concept. Whatever
-    # the alignment, the concepts left over are the multiset difference.
+    """``(general :domain specific)`` for premises differing by one concept.
+    Counting is exact: nodes align only to nodes of the same concept, and
+    edges never decide which nodes may align, so a maximum alignment of
+    p1 into p2, and the greedy one used past the search's cap or budget,
+    maps min(count in p1, count in p2) nodes of every concept. Whatever
+    the alignment, the concepts left over are the multiset difference,
+    counted over the concepts whose counts differ, which the symmetric
+    difference of the two count tables' items names."""
     c1, c2 = Counter(p1.nodes.values()), Counter(p2.nodes.values())
-    removed, added = c1 - c2, c2 - c1
-    if removed.total() != 1 or added.total() != 1:
+    differ = {c for c, _ in c1.items() ^ c2.items()}
+    removed = {c: c1[c] - c2[c] for c in differ if c1[c] > c2[c]}
+    added = {c: c2[c] - c1[c] for c in differ if c2[c] > c1[c]}
+    n_removed, n_added = sum(removed.values()), sum(added.values())
+    if n_removed != 1 or n_added != 1:
         raise NotSingleDifferenceError(
             "generalisation needs premises differing by exactly one concept, "
-            f"got {removed.total()} vs {added.total()}"
+            f"got {n_removed} vs {n_added}"
         )
     (general,), (specific,) = removed, added
     g_id = _variable_for(general, "g")

@@ -89,6 +89,18 @@ def fuzz_penman_graph(rng: random.Random) -> AmrGraph:
     return random_graph(rng, max_nodes=10, concepts=concepts, roles=roles, constants=True)
 
 
+def renamed(g: AmrGraph, prefix: str) -> AmrGraph:
+    """``g`` with ``prefix`` put before every variable; orders are kept."""
+    return AmrGraph(
+        prefix + g.root,
+        {prefix + n: c for n, c in g.nodes.items()},
+        tuple(
+            Edge(prefix + s, role, t if isinstance(t, Constant) else prefix + t)
+            for s, role, t in g.edges
+        ),
+    )
+
+
 def layered_graph(rng: random.Random, size: int, depth: int) -> AmrGraph:
     """An AMR-shaped graph of ``size`` nodes: a chain of ``depth`` nodes
     with the rest filling a ternary tree under it, one re-entrant edge per

@@ -167,6 +167,16 @@ def scan_subgraph_at(g: AmrGraph, node) -> AmrGraph:
     return AmrGraph(root=node, nodes=nodes, edges=edges)
 
 
+def sorted_subgraph_at(g: AmrGraph, node, cut=None) -> AmrGraph:
+    """``subgraph_at`` as built before it shared a whole graph's edges:
+    the kept nodes' out-edge positions, sorted, without the edges into
+    ``cut``."""
+    keep = g.closure(node, cut)
+    kept = set(keep)
+    edges = tuple(e for e in g.edges if e.source in kept and e.target != cut)
+    return AmrGraph(root=node, nodes={n: g.nodes[n] for n in keep}, edges=edges)
+
+
 def scan_attachment_site(g_c: AmrGraph, g_x: AmrGraph, g_other: AmrGraph):
     """Classifier step 5 as it was before each subtree was checked in
     place: every candidate edge's target subtree is built as a graph by
